@@ -1,12 +1,19 @@
-"""Exact arithmetic substrate: rationals, sparse bivariate polynomials, and
-truncated formal power series.
+"""Exact arithmetic substrate: sparse bivariate polynomials and truncated
+formal power series over the rationals.
 
-Everything in this package is computed exactly.  Coefficients are
-``fractions.Fraction`` values (arbitrary precision, always reduced, with a
-positive denominator), polynomials in the two variables x and y are stored
-sparsely as a mapping from exponent pairs to nonzero coefficients, and formal
-power series in t carry an explicit truncation order with one polynomial per
-coefficient.
+Everything in this package is computed exactly.  A coefficient is stored as a
+plain ``int`` whenever it is integral, and as a ``fractions.Fraction`` (reduced,
+with a denominator above 1) only when it is not.  The recurrence, determinant
+and enumeration routes therefore run on ints alone; a Fraction appears only
+for the EGF's 1/k terms, evaluation at a non-integral rational point, and an
+exact division whose quotient has a non-integral coefficient.  ``int`` and
+``Fraction`` compare and hash equal and both carry ``numerator`` and
+``denominator``, so every coefficient can be read as a rational.  Nothing is
+ever rounded.
+
+Polynomials in the two variables x and y are stored sparsely as a mapping
+from exponent pairs to nonzero coefficients, and formal power series in t
+carry an explicit truncation order with one polynomial per coefficient.
 
 The canonical term order, used both for printing and for the exact-division
 algorithm, is graded: descending total degree, ties broken by descending
@@ -15,18 +22,19 @@ x-exponent.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-# Arbitrary-precision rational scalar used for every coefficient.  Fraction
-# guarantees the canonical-form invariants (positive denominator, lowest
-# terms, zero stored as 0/1).
+# Arbitrary-precision rational scalar for the coefficients that are not
+# integral.  Fraction guarantees the canonical-form invariants (positive
+# denominator, lowest terms).
 Rational = Fraction
 
 Exponents = tuple[int, int]
 CoeffLike = int | Fraction
 
-_ZERO_FRACTION = Fraction(0)
+_UNIT_TERMS: dict[Exponents, int] = {(0, 0): 1}
 
 
 class NonExactDivisionError(ArithmeticError):
@@ -38,12 +46,64 @@ def _term_key(exponents: Exponents) -> tuple[int, int]:
     return (exponents[0] + exponents[1], exponents[0])
 
 
-def _coerce_coefficient(value: CoeffLike) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce_coefficient(value: CoeffLike) -> CoeffLike:
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        # bool and other int subclasses: a stored True would print as "True".
+        return int(value)
     raise TypeError(f"coefficient must be an int or Fraction, got {type(value).__name__}")
+
+
+def _divide(a: CoeffLike, b: CoeffLike) -> CoeffLike:
+    """Exact quotient a / b of two coefficients: an int when b divides a,
+    otherwise a Fraction.  Plain ``/`` on two ints rounds, so it is not used."""
+    if type(a) is int and type(b) is int:
+        quotient, remainder = divmod(a, b)
+        if not remainder:
+            return quotient
+    value = Fraction(a) / b
+    return value.numerator if value.denominator == 1 else value
+
+
+def _demote(terms: dict[Exponents, CoeffLike]) -> bool:
+    """Store every integral Fraction in terms as an int, in place.
+
+    Returns True if a non-integral coefficient remains.
+    """
+    rational = False
+    for exponents, value in terms.items():
+        if type(value) is not int:
+            if value.denominator == 1:
+                terms[exponents] = value.numerator
+            else:
+                rational = True
+    return rational
+
+
+def _accumulate(
+    out: dict[Exponents, CoeffLike],
+    a: Mapping[Exponents, CoeffLike],
+    b: Mapping[Exponents, CoeffLike],
+) -> dict[Exponents, CoeffLike]:
+    """Add the product of the term dicts a and b into out, in place.
+
+    Sums that cancel are removed.  An integral Fraction may be left behind;
+    the caller demotes once it has finished accumulating (``BiPoly._raw``).
+    """
+    get = out.get
+    pop = out.pop
+    for (ax, ay), ac in a.items():
+        for (bx, by), bc in b.items():
+            key = (ax + bx, ay + by)
+            value = get(key, 0) + ac * bc
+            if value:
+                out[key] = value
+            else:
+                pop(key, None)
+    return out
 
 
 class BiPoly:
@@ -51,39 +111,48 @@ class BiPoly:
 
     Terms live in a private dict keyed by ``(x_exponent, y_exponent)``; a zero
     coefficient is never stored, so dict equality is polynomial equality.
-    Instances are immutable: every operation returns a new polynomial.
+    An integral coefficient is always stored as an ``int`` and only a
+    non-integral one as a ``Fraction``; every operation restores this rule
+    before it returns.  Instances are immutable: every operation returns a
+    new polynomial.
 
     Arithmetic accepts plain ints and Fractions on either side, so things
     like ``X + 3`` and ``2 * Y`` work as expected.
     """
 
-    __slots__ = ("_terms",)
+    # _rational is False when every coefficient is an int; the operations
+    # read it to skip the demotion scan on all-integer operands.
+    __slots__ = ("_terms", "_rational")
 
     def __init__(self, terms: Mapping[Exponents, CoeffLike] | Iterable[tuple[Exponents, CoeffLike]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        canonical: dict[Exponents, Fraction] = {}
+        canonical: dict[Exponents, CoeffLike] = {}
         for exponents, coefficient in items:
             dx, dy = exponents
             if not (isinstance(dx, int) and isinstance(dy, int)) or dx < 0 or dy < 0:
                 raise ValueError(f"exponents must be nonnegative integers, got {exponents!r}")
-            value = canonical.get((dx, dy), _ZERO_FRACTION) + _coerce_coefficient(coefficient)
+            value = canonical.get((dx, dy), 0) + _coerce_coefficient(coefficient)
             if value:
                 canonical[(dx, dy)] = value
             else:
                 canonical.pop((dx, dy), None)
         self._terms = canonical
+        self._rational = _demote(canonical)
 
     @classmethod
-    def _raw(cls, terms: dict[Exponents, Fraction]) -> BiPoly:
-        # Internal fast path: terms must already be canonical.
+    def _raw(cls, terms: dict[Exponents, CoeffLike], rational: bool = False) -> BiPoly:
+        # Internal fast path: terms must hold no zero.  rational=False
+        # promises that every value is an int; otherwise integral Fractions
+        # are demoted here.
         poly = object.__new__(cls)
         poly._terms = terms
+        poly._rational = rational and _demote(terms)
         return poly
 
     @classmethod
     def constant(cls, value: CoeffLike) -> BiPoly:
         coefficient = _coerce_coefficient(value)
-        return cls._raw({(0, 0): coefficient} if coefficient else {})
+        return cls._raw({(0, 0): coefficient} if coefficient else {}, type(coefficient) is not int)
 
     @classmethod
     def monomial(cls, dx: int, dy: int, coefficient: CoeffLike = 1) -> BiPoly:
@@ -103,10 +172,10 @@ class BiPoly:
             return 0
         return max(dx + dy for dx, dy in self._terms)
 
-    def coefficient(self, dx: int, dy: int) -> Fraction:
-        return self._terms.get((dx, dy), _ZERO_FRACTION)
+    def coefficient(self, dx: int, dy: int) -> CoeffLike:
+        return self._terms.get((dx, dy), 0)
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, CoeffLike]]:
         """Terms in canonical order (graded, descending)."""
         return sorted(self._terms.items(), key=lambda item: _term_key(item[0]), reverse=True)
 
@@ -126,7 +195,7 @@ class BiPoly:
         return self
 
     def __neg__(self) -> BiPoly:
-        return BiPoly._raw({e: -c for e, c in self._terms.items()})
+        return BiPoly._raw({e: -c for e, c in self._terms.items()}, self._rational)
 
     def __add__(self, other: BiPoly | CoeffLike) -> BiPoly:
         other = _as_poly(other)
@@ -138,12 +207,12 @@ class BiPoly:
             return self
         out = dict(self._terms)
         for exponents, coefficient in other._terms.items():
-            value = out.get(exponents, _ZERO_FRACTION) + coefficient
+            value = out.get(exponents, 0) + coefficient
             if value:
                 out[exponents] = value
             else:
                 out.pop(exponents, None)
-        return BiPoly._raw(out)
+        return BiPoly._raw(out, self._rational or other._rational)
 
     def __radd__(self, other: CoeffLike) -> BiPoly:
         return self.__add__(other)
@@ -163,16 +232,8 @@ class BiPoly:
             return NotImplemented
         if not self._terms or not other._terms:
             return ZERO
-        out: dict[Exponents, Fraction] = {}
-        for (ax, ay), ac in self._terms.items():
-            for (bx, by), bc in other._terms.items():
-                key = (ax + bx, ay + by)
-                value = out.get(key, _ZERO_FRACTION) + ac * bc
-                if value:
-                    out[key] = value
-                else:
-                    out.pop(key, None)
-        return BiPoly._raw(out)
+        out = _accumulate({}, self._terms, other._terms)
+        return BiPoly._raw(out, self._rational or other._rational)
 
     def __rmul__(self, other: CoeffLike) -> BiPoly:
         return self.__mul__(other)
@@ -190,27 +251,28 @@ class BiPoly:
             n >>= 1
         return result
 
-    def evaluate(self, x_value: CoeffLike, y_value: CoeffLike) -> Fraction:
-        """Exact value of the polynomial at a rational point."""
+    def evaluate(self, x_value: CoeffLike, y_value: CoeffLike) -> CoeffLike:
+        """Exact value of the polynomial at a rational point: an int when it
+        is integral, otherwise a Fraction."""
         x0 = _coerce_coefficient(x_value)
         y0 = _coerce_coefficient(y_value)
-        total = _ZERO_FRACTION
+        total = 0
         for (dx, dy), coefficient in self._terms.items():
             total += coefficient * x0**dx * y0**dy
-        return total
+        return total.numerator if total.denominator == 1 else total
 
     def substitute(self, x_poly: BiPoly, y_poly: BiPoly) -> BiPoly:
         """Polynomial obtained by substituting polynomials for x and y."""
         x_powers: list[BiPoly] = [ONE]
         y_powers: list[BiPoly] = [ONE]
-        result = ZERO
+        out: dict[Exponents, CoeffLike] = {}
         for (dx, dy), coefficient in self._terms.items():
             while len(x_powers) <= dx:
                 x_powers.append(x_powers[-1] * x_poly)
             while len(y_powers) <= dy:
                 y_powers.append(y_powers[-1] * y_poly)
-            result = result + x_powers[dx] * y_powers[dy] * coefficient
-        return result
+            _accumulate(out, (x_powers[dx] * y_powers[dy])._terms, {(0, 0): coefficient})
+        return BiPoly._raw(out, self._rational or x_poly._rational or y_poly._rational)
 
     def exact_div(self, divisor: BiPoly) -> BiPoly:
         """Exact quotient self / divisor in the polynomial ring.
@@ -219,6 +281,12 @@ class BiPoly:
         Uses lead-term reduction in the graded order; when the dividend is a
         true multiple, every intermediate remainder is one too, so the lead
         term is always reducible until the remainder vanishes.
+
+        The remainder's lead term comes off a max-heap of graded keys.  A key
+        is pushed when its exponent pair enters the remainder, and a popped
+        key whose term has since cancelled is skipped.  Each reduction
+        cancels the lead term exactly and adds only smaller terms, so the
+        first live key popped is always the remainder's lead term.
         """
         if not divisor._terms:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -226,26 +294,39 @@ class BiPoly:
             return ZERO
         lead = max(divisor._terms, key=_term_key)
         lead_coefficient = divisor._terms[lead]
+        rest = [(exponents, c) for exponents, c in divisor._terms.items() if exponents != lead]
         remainder = dict(self._terms)
-        quotient: dict[Exponents, Fraction] = {}
+        # Negated (total degree, x degree): heapq is a min-heap.
+        heap = [(-dx - dy, -dx) for dx, dy in remainder]
+        heapq.heapify(heap)
+        quotient: dict[Exponents, CoeffLike] = {}
         while remainder:
-            top = max(remainder, key=_term_key)
+            neg_total, neg_x = heapq.heappop(heap)
+            top = (-neg_x, neg_x - neg_total)
+            top_coefficient = remainder.pop(top, None)
+            if top_coefficient is None:
+                continue
             dx = top[0] - lead[0]
             dy = top[1] - lead[1]
             if dx < 0 or dy < 0:
                 raise NonExactDivisionError(
                     f"({self}) is not divisible by ({divisor}): stuck at term {top}"
                 )
-            factor = remainder[top] / lead_coefficient
+            factor = _divide(top_coefficient, lead_coefficient)
             quotient[(dx, dy)] = factor
-            for (ex, ey), coefficient in divisor._terms.items():
+            for (ex, ey), coefficient in rest:
                 key = (ex + dx, ey + dy)
-                value = remainder.get(key, _ZERO_FRACTION) - factor * coefficient
-                if value:
-                    remainder[key] = value
+                old = remainder.get(key)
+                if old is None:
+                    remainder[key] = -factor * coefficient
+                    heapq.heappush(heap, (-key[0] - key[1], -key[0]))
                 else:
-                    remainder.pop(key, None)
-        return BiPoly._raw(quotient)
+                    value = old - factor * coefficient
+                    if value:
+                        remainder[key] = value
+                    else:
+                        del remainder[key]
+        return BiPoly._raw(quotient, True)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -280,9 +361,19 @@ def _as_poly(value: BiPoly | CoeffLike) -> BiPoly:
 
 
 ZERO = BiPoly._raw({})
-ONE = BiPoly._raw({(0, 0): Fraction(1)})
-X = BiPoly._raw({(1, 0): Fraction(1)})
-Y = BiPoly._raw({(0, 1): Fraction(1)})
+ONE = BiPoly._raw({(0, 0): 1})
+X = BiPoly._raw({(1, 0): 1})
+Y = BiPoly._raw({(0, 1): 1})
+
+
+def poly_sum(polys: Iterable[BiPoly]) -> BiPoly:
+    """Sum of polynomials, accumulated in place in one dict."""
+    out: dict[Exponents, CoeffLike] = {}
+    rational = False
+    for poly in polys:
+        _accumulate(out, poly._terms, _UNIT_TERMS)
+        rational = rational or poly._rational
+    return BiPoly._raw(out, rational)
 
 
 class TruncSeries:
@@ -364,17 +455,17 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [ZERO] * (n + 1)
+        out: list[dict[Exponents, CoeffLike]] = [{} for _ in range(n + 1)]
         for i in range(n + 1):
-            a = self._coeffs[i]
-            if a.is_zero:
+            a = self._coeffs[i]._terms
+            if not a:
                 continue
             for j in range(n + 1 - i):
-                b = other._coeffs[j]
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncSeries(out)
+                b = other._coeffs[j]._terms
+                if b:
+                    _accumulate(out[i + j], a, b)
+        rational = any(c._rational for c in self._coeffs + other._coeffs)
+        return TruncSeries([BiPoly._raw(terms, rational) for terms in out])
 
     def scale(self, factor: BiPoly | CoeffLike) -> TruncSeries:
         """Multiply every coefficient by a polynomial or scalar."""
@@ -394,16 +485,14 @@ class TruncSeries:
         """
         if not self._coeffs[0].is_zero:
             raise ValueError("series exponential requires a zero constant term")
-        weighted = [j * a for j, a in enumerate(self._coeffs)]
+        weighted = [(j * a)._terms for j, a in enumerate(self._coeffs)]
         out = [ONE]
         for k in range(1, self.order + 1):
-            acc = ZERO
+            acc: dict[Exponents, CoeffLike] = {}
             for j in range(1, k + 1):
-                a = weighted[j]
-                if a.is_zero:
-                    continue
-                acc = acc + a * out[k - j]
-            out.append(acc * Fraction(1, k))
+                if weighted[j]:
+                    _accumulate(acc, weighted[j], out[k - j]._terms)
+            out.append(BiPoly._raw({e: _divide(c, k) for e, c in acc.items()}, True))
         return TruncSeries(out)
 
     def __repr__(self) -> str:

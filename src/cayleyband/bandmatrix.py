@@ -22,7 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import ONE, X, Y, ZERO, BiPoly
+from ._validate import require_band_parameter, require_int
+from .algebra import ONE, X, Y, ZERO, BiPoly, poly_sum
 
 # n! products stop being "instant" beyond 8; Bareiss covers larger n.
 LEIBNIZ_LIMIT = 8
@@ -59,10 +60,8 @@ def band_matrix(r: int, n: int) -> BandMatrix:
 def _band_matrix_with_step(r: int, n: int, step: int) -> BandMatrix:
     # step = +1 is the canonical convention; -1 builds the decreasing
     # variant (y, y-1, ...) that regression tests prove wrong.
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"band parameter r must be an integer >= 2, got {r!r}")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"matrix dimension n must be a nonnegative integer, got {n!r}")
+    require_band_parameter(r)
+    require_int(n, 0, "matrix dimension n must be a nonnegative integer, got {!r}")
     rows = []
     for i in range(1, n + 1):
         row = []
@@ -102,19 +101,19 @@ def det_leibniz(matrix: BandMatrix) -> BiPoly:
     if n == 0:
         return ONE
     entries = matrix.entries
-    total = ZERO
-    for perm in itertools.permutations(range(n)):
-        for i, j in enumerate(perm):
-            if entries[i][j].is_zero:
-                break
-        else:
-            term = ONE
+
+    def signed_products():
+        for perm in itertools.permutations(range(n)):
             for i, j in enumerate(perm):
-                term = term * entries[i][j]
-            if _permutation_sign(perm) < 0:
-                term = -term
-            total = total + term
-    return total
+                if entries[i][j].is_zero:
+                    break
+            else:
+                term = ONE
+                for i, j in enumerate(perm):
+                    term = term * entries[i][j]
+                yield -term if _permutation_sign(perm) < 0 else term
+
+    return poly_sum(signed_products())
 
 
 def det_bareiss(matrix: BandMatrix) -> BiPoly:

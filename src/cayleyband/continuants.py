@@ -20,6 +20,7 @@ import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
+from ._validate import require_band_parameter, require_int
 from .algebra import ONE, X, Y, ZERO, BiPoly
 
 # Guard on n! enumeration; 10! = 3,628,800 keeps a full scan in the seconds.
@@ -36,22 +37,15 @@ class CycleStats(NamedTuple):
     singular: int
 
 
-def _require_band_parameter(r: int) -> None:
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"band parameter r must be an integer >= 2, got {r!r}")
-
-
 def _require_enumerable(n: int) -> None:
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    require_int(n, 0, "n must be a nonnegative integer, got {!r}")
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute-force enumeration is limited to n <= {BRUTE_FORCE_LIMIT}, got {n}")
 
 
 def rising_factorial(n: int) -> BiPoly:
     """x(x+1)...(x+n-1) as a polynomial in x; the empty product is 1."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    require_int(n, 0, "n must be a nonnegative integer, got {!r}")
     product = ONE
     for k in range(n):
         product = product * (X + k)
@@ -60,8 +54,8 @@ def rising_factorial(n: int) -> BiPoly:
 
 def falling_factorial(m: int, k: int) -> int:
     """m(m-1)...(m-k+1); the empty product is 1, and k > m gives 0."""
-    if not isinstance(m, int) or m < 0 or not isinstance(k, int) or k < 0:
-        raise ValueError("falling_factorial needs nonnegative integers")
+    require_int(m, 0, "falling_factorial needs nonnegative integers")
+    require_int(k, 0, "falling_factorial needs nonnegative integers")
     return math.prod(range(m, m - k, -1))
 
 
@@ -73,9 +67,8 @@ def band_continuants(r: int, n_max: int) -> list[BiPoly]:
         V(r, n) = x * sum_{i=1..r-1} (n-1)_{i-1} V(r, n-i)
                   + (y + n - r) (n-1)_{r-1} V(r, n-r)
     """
-    _require_band_parameter(r)
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    require_band_parameter(r)
+    require_int(n_max, 0, "n_max must be a nonnegative integer, got {!r}")
     table = [rising_factorial(n) for n in range(min(n_max, r - 1) + 1)]
     for n in range(r, n_max + 1):
         head = ZERO
@@ -97,8 +90,7 @@ def cayley_continuant(n: int) -> BiPoly:
     U_0 = 1, U_1 = x, and U_n = x U_{n-1} - (n-1)(y-n+2) U_{n-2}.
     Substituting y -> -y turns U_n into V(2, n).
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    require_int(n, 0, "n must be a nonnegative integer, got {!r}")
     if n == 0:
         return ONE
     previous, current = ONE, X
@@ -140,7 +132,7 @@ def cycle_type(images: Sequence[int]) -> tuple[int, ...]:
 
 def cycle_stats(images: Sequence[int], r: int) -> CycleStats:
     """Count the r-regular and r-singular cycles of a permutation."""
-    _require_band_parameter(r)
+    require_band_parameter(r)
     lengths = _cycle_lengths(as_permutation(images))
     singular = sum(1 for length in lengths if length % r == 0)
     return CycleStats(regular=len(lengths) - singular, singular=singular)
@@ -153,7 +145,7 @@ def cycle_distribution_bruteforce(r: int, n: int) -> BiPoly:
     is the combinatorial oracle the other three computations are checked
     against.  The empty permutation contributes 1, so n = 0 gives 1.
     """
-    _require_band_parameter(r)
+    require_band_parameter(r)
     _require_enumerable(n)
     counts: dict[tuple[int, int], int] = {}
     for perm in itertools.permutations(range(n)):
@@ -199,7 +191,7 @@ def count_singular_permutations(r: int, n: int) -> int:
 
 def count_regular_permutations_bruteforce(r: int, n: int) -> int:
     """Direct scan counterpart of count_regular_permutations (n <= 10)."""
-    _require_band_parameter(r)
+    require_band_parameter(r)
     _require_enumerable(n)
     total = 0
     for perm in itertools.permutations(range(n)):
@@ -222,7 +214,7 @@ def count_regular_permutations_bruteforce(r: int, n: int) -> int:
 
 def count_singular_permutations_bruteforce(r: int, n: int) -> int:
     """Direct scan counterpart of count_singular_permutations (n <= 10)."""
-    _require_band_parameter(r)
+    require_band_parameter(r)
     _require_enumerable(n)
     total = 0
     for perm in itertools.permutations(range(n)):

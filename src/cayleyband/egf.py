@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._validate import require_band_parameter, require_int
 from .algebra import BiPoly, TruncSeries, X, Y
 from .continuants import (
     count_regular_permutations,
@@ -48,10 +49,8 @@ class EgfBasis:
 
 def build_basis(r: int, order: int) -> EgfBasis:
     """Split sum(t^k / k, k >= 1) by divisibility of k by r."""
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"band parameter r must be an integer >= 2, got {r!r}")
-    if not isinstance(order, int) or order < 0:
-        raise ValueError(f"truncation order must be a nonnegative integer, got {order!r}")
+    require_band_parameter(r)
+    require_int(order, 0, "truncation order must be a nonnegative integer, got {!r}")
     regular = [BiPoly.constant(0) for _ in range(order + 1)]
     singular = [BiPoly.constant(0) for _ in range(order + 1)]
     for k in range(1, order + 1):
@@ -111,10 +110,8 @@ def ode_residual(r: int, order: int) -> TruncSeries:
     result must vanish identically.  The check is independent of the
     recurrence and of any determinant.
     """
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"band parameter r must be an integer >= 2, got {r!r}")
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"residual needs order >= 1, got {order!r}")
+    require_band_parameter(r)
+    require_int(order, 1, "residual needs order >= 1, got {!r}")
     series = egf_series(r, order)
     derivative = series.derivative()
     lhs_mult = TruncSeries.from_terms(order - 1, {0: 1, 1: -1, r: -1, r + 1: 1})

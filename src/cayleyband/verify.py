@@ -20,6 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from ._validate import require_int
 from .algebra import ONE, X, Y
 from .bandmatrix import (
     LEIBNIZ_LIMIT,
@@ -95,13 +96,10 @@ def run_verification(
     ODE residual.  corrupt=(r, n, i, j) adds 1 to the (i, j) entry of the
     matrix built for that single parameter point, 1-indexed.
     """
-    if not isinstance(r_max, int) or r_max < 2:
-        raise ValueError(f"r_max must be an integer >= 2, got {r_max!r}")
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"order must be an integer >= 1, got {order!r}")
-    if subdiagonal_step not in (1, -1):
+    require_int(r_max, 2, "r_max must be an integer >= 2, got {!r}")
+    require_int(n_max, 0, "n_max must be a nonnegative integer, got {!r}")
+    require_int(order, 1, "order must be an integer >= 1, got {!r}")
+    if isinstance(subdiagonal_step, bool) or subdiagonal_step not in (1, -1):
         raise ValueError(f"subdiagonal_step must be 1 or -1, got {subdiagonal_step!r}")
 
     def make_matrix(r: int, n: int) -> BandMatrix:
