@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 
-def require_int(value: object, minimum: int, message: str) -> None:
-    """Raise ValueError unless value is an int of at least minimum.
+def is_int(value: object, minimum: int) -> bool:
+    """True if value is an int of at least minimum.
 
-    A bool is rejected although it is an int subclass: ``True`` passed as a
-    size is a caller's mistake, not the number 1.  message is a format
-    string; ``{!r}`` in it receives the rejected value.
+    A bool is not one although it is an int subclass: ``True`` passed as a
+    size or an exponent is a caller's mistake, not the number 1.
     """
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+    return not isinstance(value, bool) and isinstance(value, int) and value >= minimum
+
+
+def require_int(value: object, minimum: int, message: str) -> None:
+    """Raise ValueError unless is_int(value, minimum).
+
+    message is a format string; ``{!r}`` in it receives the rejected value.
+    """
+    if not is_int(value, minimum):
         raise ValueError(message.format(value))
 
 

@@ -26,6 +26,8 @@ import heapq
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
+from ._validate import is_int, require_int
+
 # Arbitrary-precision rational scalar for the coefficients that are not
 # integral.  Fraction guarantees the canonical-form invariants (positive
 # denominator, lowest terms).
@@ -129,7 +131,7 @@ class BiPoly:
         canonical: dict[Exponents, CoeffLike] = {}
         for exponents, coefficient in items:
             dx, dy = exponents
-            if not (isinstance(dx, int) and isinstance(dy, int)) or dx < 0 or dy < 0:
+            if not (is_int(dx, 0) and is_int(dy, 0)):
                 raise ValueError(f"exponents must be nonnegative integers, got {exponents!r}")
             value = canonical.get((dx, dy), 0) + _coerce_coefficient(coefficient)
             if value:
@@ -239,8 +241,7 @@ class BiPoly:
         return self.__mul__(other)
 
     def __pow__(self, exponent: int) -> BiPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial exponent must be a nonnegative integer")
+        require_int(exponent, 0, "polynomial exponent must be a nonnegative integer")
         result = ONE
         base = self
         n = exponent
@@ -407,8 +408,7 @@ class TruncSeries:
         order are silently truncated away."""
         coeffs: list[BiPoly] = [ZERO] * (order + 1)
         for power, value in entries.items():
-            if not isinstance(power, int) or power < 0:
-                raise ValueError(f"t-power must be a nonnegative integer, got {power!r}")
+            require_int(power, 0, "t-power must be a nonnegative integer, got {!r}")
             if power <= order:
                 coeffs[power] = value if isinstance(value, BiPoly) else BiPoly.constant(value)
         return cls(coeffs)

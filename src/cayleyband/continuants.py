@@ -8,6 +8,11 @@ module computes the family by the recurrence and, independently, by exhaustive
 permutation enumeration; the two must agree, which is what the verification
 harness checks.
 
+There is one cycle walk.  The three enumeration functions share it and one
+tally of cycle-length sequences, each folding the tally differently: the
+distribution splits each sequence by r, and the two pure-class counts read
+that distribution at x=1, y=0 and at x=0, y=1.
+
 A cycle of a permutation is r-regular when its length is not divisible by r
 and r-singular when it is.  Permutations are written in one-line notation,
 1-based: ``(2, 3, 1)`` maps 1 to 2, 2 to 3, 3 to 1.
@@ -17,10 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from ._validate import require_band_parameter, require_int
+from ._validate import is_int, require_band_parameter, require_int
 from .algebra import ONE, X, Y, ZERO, BiPoly
 
 # Guard on n! enumeration; 10! = 3,628,800 keeps a full scan in the seconds.
@@ -102,40 +108,44 @@ def cayley_continuant(n: int) -> BiPoly:
 def as_permutation(images: Sequence[int]) -> Permutation:
     """Validate one-line notation (a bijection on 1..n) and return a tuple."""
     perm = tuple(images)
-    if sorted(perm) != list(range(1, len(perm) + 1)):
+    if not all(is_int(i, 1) for i in perm) or sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError(f"not a permutation of 1..{len(perm)}: {images!r}")
     return perm
 
 
-def _cycle_lengths(perm: Permutation) -> list[int]:
-    # perm is validated, 1-based.
-    n = len(perm)
-    seen = bytearray(n)
+def _cycle_lengths(perm: Sequence[int]) -> list[int]:
+    # The one cycle walk.  perm holds 0-based images, as
+    # itertools.permutations(range(n)) yields them.  A cycle is walked from
+    # its smallest point, which the loop never comes back to, so only the
+    # other points need marking.
+    seen = bytearray(len(perm))
     lengths = []
-    for start in range(n):
+    for start, j in enumerate(perm):
         if seen[start]:
             continue
-        length = 0
-        j = start
-        while not seen[j]:
+        length = 1
+        while j != start:
             seen[j] = 1
-            j = perm[j] - 1
+            j = perm[j]
             length += 1
         lengths.append(length)
     return lengths
 
 
+def _split(lengths: Sequence[int], r: int) -> CycleStats:
+    singular = sum(1 for length in lengths if length % r == 0)
+    return CycleStats(regular=len(lengths) - singular, singular=singular)
+
+
 def cycle_type(images: Sequence[int]) -> tuple[int, ...]:
     """Multiset of cycle lengths, as a sorted tuple; the lengths sum to n."""
-    return tuple(sorted(_cycle_lengths(as_permutation(images))))
+    return tuple(sorted(_cycle_lengths([i - 1 for i in as_permutation(images)])))
 
 
 def cycle_stats(images: Sequence[int], r: int) -> CycleStats:
     """Count the r-regular and r-singular cycles of a permutation."""
     require_band_parameter(r)
-    lengths = _cycle_lengths(as_permutation(images))
-    singular = sum(1 for length in lengths if length % r == 0)
-    return CycleStats(regular=len(lengths) - singular, singular=singular)
+    return _split(_cycle_lengths([i - 1 for i in as_permutation(images)]), r)
 
 
 def cycle_distribution_bruteforce(r: int, n: int) -> BiPoly:
@@ -147,26 +157,12 @@ def cycle_distribution_bruteforce(r: int, n: int) -> BiPoly:
     """
     require_band_parameter(r)
     _require_enumerable(n)
-    counts: dict[tuple[int, int], int] = {}
-    for perm in itertools.permutations(range(n)):
-        seen = bytearray(n)
-        regular = 0
-        singular = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = 1
-                j = perm[j]
-                length += 1
-            if length % r:
-                regular += 1
-            else:
-                singular += 1
-        key = (regular, singular)
-        counts[key] = counts.get(key, 0) + 1
+    # Tally the cycle-length sequences first: there are at most 2^(n-1) of
+    # them, so splitting each by r afterwards costs next to nothing.
+    tally = Counter(map(tuple, map(_cycle_lengths, itertools.permutations(range(n)))))
+    counts: Counter[CycleStats] = Counter()
+    for lengths, count in tally.items():
+        counts[_split(lengths, r)] += count
     return BiPoly(counts)
 
 
@@ -191,45 +187,9 @@ def count_singular_permutations(r: int, n: int) -> int:
 
 def count_regular_permutations_bruteforce(r: int, n: int) -> int:
     """Direct scan counterpart of count_regular_permutations (n <= 10)."""
-    require_band_parameter(r)
-    _require_enumerable(n)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        seen = bytearray(n)
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = 1
-                j = perm[j]
-                length += 1
-            if length % r == 0:
-                break
-        else:
-            total += 1
-    return total
+    return cycle_distribution_bruteforce(r, n).evaluate(1, 0)
 
 
 def count_singular_permutations_bruteforce(r: int, n: int) -> int:
     """Direct scan counterpart of count_singular_permutations (n <= 10)."""
-    require_band_parameter(r)
-    _require_enumerable(n)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        seen = bytearray(n)
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = 1
-                j = perm[j]
-                length += 1
-            if length % r:
-                break
-        else:
-            total += 1
-    return total
+    return cycle_distribution_bruteforce(r, n).evaluate(0, 1)

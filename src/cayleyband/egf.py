@@ -21,11 +21,13 @@ from ._validate import require_band_parameter, require_int
 from .algebra import BiPoly, TruncSeries, X, Y
 from .continuants import (
     count_regular_permutations,
-    count_regular_permutations_bruteforce,
     count_singular_permutations,
-    count_singular_permutations_bruteforce,
+    cycle_distribution_bruteforce,
 )
 
+# Enumeration stops one below continuants.BRUTE_FORCE_LIMIT = 10: an S_10
+# scan takes 8 to 10 s of CPU for each r (Python 3.11 on a shared 2-core
+# x86 machine), ten times as long as an S_9 scan.
 _BRUTE_CAP = 9
 
 
@@ -134,9 +136,11 @@ def factorization_check(r: int, order: int) -> bool:
     for n in range(order + 1):
         if n > 0:
             factorial *= n
-        for series, counter, brute in (
-            (regular_series, count_regular_permutations, count_regular_permutations_bruteforce),
-            (singular_series, count_singular_permutations, count_singular_permutations_bruteforce),
+        # One scan gives both pure-class counts: x=1,y=0 and x=0,y=1.
+        scanned = cycle_distribution_bruteforce(r, n) if n <= _BRUTE_CAP else None
+        for series, counter, point in (
+            (regular_series, count_regular_permutations, (1, 0)),
+            (singular_series, count_singular_permutations, (0, 1)),
         ):
             poly = series.coefficient(n) * factorial
             if poly.total_degree() > 0:
@@ -147,6 +151,6 @@ def factorization_check(r: int, order: int) -> bool:
             count = value.numerator
             if count != counter(r, n):
                 return False
-            if n <= _BRUTE_CAP and count != brute(r, n):
+            if scanned is not None and count != scanned.evaluate(*point):
                 return False
     return True

@@ -22,6 +22,7 @@ from cayleyband import (
     BiPoly,
     NonExactDivisionError,
     TruncSeries,
+    as_permutation,
     band_continuants,
     band_matrix,
     build_basis,
@@ -195,6 +196,11 @@ def test_exact_div_messages_are_unchanged():
         lambda: run_verification(n_max=True),
         lambda: run_verification(order=True),
         lambda: run_verification(subdiagonal_step=True),
+        lambda: BiPoly({(True, 0): 1}),
+        lambda: BiPoly({(0, True): 1}),
+        lambda: X**True,
+        lambda: TruncSeries.from_terms(2, {True: 5}),
+        lambda: as_permutation([True]),
     ],
 )
 def test_bool_arguments_are_rejected(call):

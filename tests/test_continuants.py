@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -136,6 +137,14 @@ def test_permutation_validation():
         as_permutation([1, 2, 4])
 
 
+def test_permutation_images_must_be_ints():
+    # 1.0 compares equal to 1 but is not an index; a bool is rejected in
+    # test_coefficients.
+    for images in ([1.0], [2, 1.0]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            as_permutation(images)
+
+
 def test_cycle_type():
     assert cycle_type([1, 2, 3, 4]) == (1, 1, 1, 1)
     assert cycle_type([2, 1, 4, 3]) == (2, 2)
@@ -157,6 +166,19 @@ def test_cycle_distribution_small():
     assert cycle_distribution_bruteforce(2, 2) == X**2 + Y
     assert cycle_distribution_bruteforce(2, 3) == GOLDEN_R2[3]
     assert cycle_distribution_bruteforce(3, 4) == GOLDEN_R3[4]
+
+
+def test_cycle_stats_sum_to_the_scanned_distribution():
+    # cycle_stats walks 1-based input, the scan 0-based images; both go
+    # through one walk, so summing the single-permutation statistics over
+    # S_n must give the scan's polynomial.
+    for r in range(2, 6):
+        for n in range(7):
+            total = BiPoly()
+            for perm in itertools.permutations(range(1, n + 1)):
+                stats = cycle_stats(perm, r)
+                total = total + X**stats.regular * Y**stats.singular
+            assert total == cycle_distribution_bruteforce(r, n), f"r={r} n={n}"
 
 
 def test_recurrence_below_bandwidth_is_rising_factorial():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from cayleyband import continuants
 from cayleyband.verify import CheckResult, run_verification, render_report_text
 
 CHECK_NAMES = [
@@ -54,6 +55,23 @@ def test_decreasing_convention_fails_four_way():
     assert [check.name for check in failures] == ["four_way"]
     assert failures[0].params == "r=2 n=3"
     assert "determinant" in failures[0].detail
+
+
+def test_faulty_cycle_walk_fails_the_enumeration_checks(monkeypatch):
+    # Every scan goes through continuants._cycle_lengths, so a walk that
+    # loses a cycle must be caught by both checks that enumerate S_n, and
+    # by no other.
+    walk = continuants._cycle_lengths
+
+    def drops_last_cycle(perm):
+        lengths = walk(perm)
+        return lengths[:-1] if len(perm) > 2 else lengths
+
+    monkeypatch.setattr(continuants, "_cycle_lengths", drops_last_cycle)
+    report = run_verification(r_max=3, n_max=5, order=8)
+    failed = [check.name for check in report.checks if not check.ok]
+    assert failed == ["four_way", "regular_singular_factorization"]
+    assert sum(check.ok for check in report.checks) == 5
 
 
 def test_report_dict_shape():
