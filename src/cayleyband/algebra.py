@@ -38,6 +38,8 @@ CoeffLike = int | Fraction
 
 _UNIT_TERMS: dict[Exponents, int] = {(0, 0): 1}
 
+_ORDER_MESSAGE = "series order must be a nonnegative integer, got {!r}"
+
 
 class NonExactDivisionError(ArithmeticError):
     """Polynomial division left a remainder where exactness was required."""
@@ -396,16 +398,19 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, order: int) -> TruncSeries:
+        require_int(order, 0, _ORDER_MESSAGE)
         return cls([ZERO] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> TruncSeries:
+        require_int(order, 0, _ORDER_MESSAGE)
         return cls([ONE] + [ZERO] * order)
 
     @classmethod
     def from_terms(cls, order: int, entries: Mapping[int, BiPoly | CoeffLike]) -> TruncSeries:
         """Series with the given t-power coefficients; powers beyond the
         order are silently truncated away."""
+        require_int(order, 0, _ORDER_MESSAGE)
         coeffs: list[BiPoly] = [ZERO] * (order + 1)
         for power, value in entries.items():
             require_int(power, 0, "t-power must be a nonnegative integer, got {!r}")

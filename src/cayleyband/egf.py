@@ -8,8 +8,9 @@ Splitting the logarithm of 1/(1-t) by residue of the cycle length mod r,
 the series exp(x*A + y*B) collects permutations by counted cycle type, so
 n! times its t^n coefficient is the same polynomial the matrix determinant
 and the recurrence produce.  The series satisfies a first-order linear ODE
-with polynomial coefficients; its residual is computed here as a third
-independent consistency check that needs no permutation enumeration.
+with polynomial coefficients; its residual is a third independent
+consistency check.  Nothing here enumerates permutations: the EGF is
+compared with the recurrence only, and verify compares both with the scan.
 """
 
 from __future__ import annotations
@@ -19,16 +20,7 @@ from fractions import Fraction
 
 from ._validate import require_band_parameter, require_int
 from .algebra import BiPoly, TruncSeries, X, Y
-from .continuants import (
-    count_regular_permutations,
-    count_singular_permutations,
-    cycle_distribution_bruteforce,
-)
-
-# Enumeration stops one below continuants.BRUTE_FORCE_LIMIT = 10: an S_10
-# scan takes 8 to 10 s of CPU for each r (Python 3.11 on a shared 2-core
-# x86 machine), ten times as long as an S_9 scan.
-_BRUTE_CAP = 9
+from .continuants import band_continuants
 
 
 class NonIntegerCoefficientError(ArithmeticError):
@@ -126,31 +118,22 @@ def factorization_check(r: int, order: int) -> bool:
 
     exp(A) enumerates permutations all of whose cycle lengths avoid
     multiples of r, exp(B) those built entirely from multiples.  Their
-    n!-scaled coefficients must match the x=1,y=0 and x=0,y=1 counts from
-    the recurrence, and the direct enumeration for small n.
+    n!-scaled coefficients must match V(r, n) from the recurrence at
+    x=1, y=0 and at x=0, y=1.  The enumeration comparison lives in verify.
     """
     basis = build_basis(r, order)
     regular_series = basis.regular_log.exp()
     singular_series = basis.singular_log.exp()
+    table = band_continuants(r, order)
     factorial = 1
     for n in range(order + 1):
         if n > 0:
             factorial *= n
-        # One scan gives both pure-class counts: x=1,y=0 and x=0,y=1.
-        scanned = cycle_distribution_bruteforce(r, n) if n <= _BRUTE_CAP else None
-        for series, counter, point in (
-            (regular_series, count_regular_permutations, (1, 0)),
-            (singular_series, count_singular_permutations, (0, 1)),
-        ):
+        for series, point in ((regular_series, (1, 0)), (singular_series, (0, 1))):
             poly = series.coefficient(n) * factorial
             if poly.total_degree() > 0:
                 return False
             value = poly.coefficient(0, 0)
-            if value.denominator != 1:
-                return False
-            count = value.numerator
-            if count != counter(r, n):
-                return False
-            if scanned is not None and count != scanned.evaluate(*point):
+            if value.denominator != 1 or value != table[n].evaluate(*point):
                 return False
     return True

@@ -201,11 +201,26 @@ def test_exact_div_messages_are_unchanged():
         lambda: X**True,
         lambda: TruncSeries.from_terms(2, {True: 5}),
         lambda: as_permutation([True]),
+        lambda: TruncSeries.zero(True),
+        lambda: TruncSeries.one(True),
+        lambda: TruncSeries.from_terms(True, {0: 1, 1: 2}),
     ],
 )
 def test_bool_arguments_are_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("order", [-1, 2.0])
+@pytest.mark.parametrize(
+    "make",
+    [TruncSeries.zero, TruncSeries.one, lambda order: TruncSeries.from_terms(order, {0: 1})],
+    ids=["zero", "one", "from_terms"],
+)
+def test_series_order_must_be_a_nonnegative_int(make, order):
+    message = rf"^series order must be a nonnegative integer, got {order!r}$"
+    with pytest.raises(ValueError, match=message):
+        make(order)
 
 
 def test_validation_messages_keep_their_wording():

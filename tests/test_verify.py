@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
-from cayleyband import continuants
+from cayleyband import continuants, egf
+from cayleyband.algebra import BiPoly, TruncSeries
 from cayleyband.verify import CheckResult, run_verification, render_report_text
 
 CHECK_NAMES = [
@@ -72,6 +76,80 @@ def test_faulty_cycle_walk_fails_the_enumeration_checks(monkeypatch):
     failed = [check.name for check in report.checks if not check.ok]
     assert failed == ["four_way", "regular_singular_factorization"]
     assert sum(check.ok for check in report.checks) == 5
+
+
+def test_each_permutation_is_walked_once_per_r(monkeypatch):
+    # The harness scans each (r, n) once and shares the scan between the
+    # checks that compare with the enumeration.
+    walk = continuants._cycle_lengths
+    walked = []
+
+    def counting_walk(perm):
+        walked.append(1)
+        return walk(perm)
+
+    monkeypatch.setattr(continuants, "_cycle_lengths", counting_walk)
+    assert run_verification(r_max=3, n_max=5, order=8).ok
+    assert len(walked) == 2 * sum(math.factorial(n) for n in range(6))
+
+
+def _miscount_falling_factorial(monkeypatch):
+    falling = continuants.falling_factorial
+    monkeypatch.setattr(
+        continuants, "falling_factorial", lambda m, k: falling(m, k) + ((m, k) == (3, 1))
+    )
+
+
+def _flip_t_to_the_r(monkeypatch):
+    # Count t^r in the regular logarithm as if r did not divide r.
+    build = egf.build_basis
+
+    def flipped(r, order):
+        basis = build(r, order)
+        if order < r:
+            return basis
+        regular = list(basis.regular_log.coefficients)
+        singular = list(basis.singular_log.coefficients)
+        regular[r], singular[r] = singular[r], regular[r]
+        return dataclasses.replace(
+            basis, regular_log=TruncSeries(regular), singular_log=TruncSeries(singular)
+        )
+
+    monkeypatch.setattr(egf, "build_basis", flipped)
+
+
+def _off_by_one_division(monkeypatch):
+    divide = BiPoly.exact_div
+
+    def off_by_one(self, divisor):
+        quotient = divide(self, divisor)
+        return quotient + 1 if len(divisor.sorted_terms()) > 1 else quotient
+
+    monkeypatch.setattr(BiPoly, "exact_div", off_by_one)
+
+
+@pytest.mark.parametrize(
+    "mutate, failing",
+    [
+        (
+            _miscount_falling_factorial,
+            [
+                "four_way",
+                "factorial_specialization",
+                "stirling_specialization",
+                "cayley_sign_relation",
+                "regular_singular_factorization",
+            ],
+        ),
+        (_flip_t_to_the_r, ["four_way", "ode_residual", "regular_singular_factorization"]),
+        (_off_by_one_division, ["four_way"]),
+    ],
+    ids=["recurrence", "egf", "bareiss"],
+)
+def test_a_faulty_route_fails_the_checks_that_read_it(monkeypatch, mutate, failing):
+    mutate(monkeypatch)
+    report = run_verification(r_max=3, n_max=5, order=8)
+    assert [check.name for check in report.checks if not check.ok] == failing
 
 
 def test_report_dict_shape():
