@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from fractions import Fraction
 
 from .algebra import BiPoly
@@ -26,19 +27,21 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def polynomial_json(r: int, n: int, poly: BiPoly) -> dict:
-    """JSON object for one polynomial.
+def polynomial_json(r: int, n: int, poly: BiPoly) -> str:
+    """Canonical JSON text of one polynomial, as ``canonical_json`` would
+    render ``{"r": r, "n": n, "terms": [{"dx": ..., "dy": ..., "c": ...}]}``.
 
     Terms appear in canonical order and every coefficient is rendered as a
     decimal integer string, which keeps arbitrary-precision values exact in
-    every JSON implementation.
+    every JSON implementation.  A non-integral coefficient raises
+    ``ValueError`` before any term is formatted.
     """
-    terms = []
-    for (dx, dy), coefficient in poly.sorted_terms():
+    terms = poly.sorted_terms()
+    for _, coefficient in terms:
         if coefficient.denominator != 1:
             raise ValueError(f"cannot serialize non-integer coefficient {coefficient}")
-        terms.append({"dx": dx, "dy": dy, "c": str(coefficient.numerator)})
-    return {"r": r, "n": n, "terms": terms}
+    body = ",".join([f'{{"dx":{dx},"dy":{dy},"c":"{c}"}}' for (dx, dy), c in terms])
+    return f'{{"r":{r},"n":{n},"terms":[{body}]}}'
 
 
 def _rational(text: str) -> Fraction:
@@ -107,8 +110,12 @@ def _run_table(args, parser) -> int:
         parser.error(f"--n-max must be nonnegative, got {args.n_max}")
     polynomials = band_continuants(args.r, args.n_max)
     if args.format == "json":
-        payload = [polynomial_json(args.r, n, poly) for n, poly in enumerate(polynomials)]
-        print(canonical_json(payload))
+        # One row at a time, so no list of every row's dicts or text is held.
+        write = sys.stdout.write
+        for n, poly in enumerate(polynomials):
+            write("," if n else "[")
+            write(polynomial_json(args.r, n, poly))
+        write("]\n")
     else:
         for poly in polynomials:
             print(poly)

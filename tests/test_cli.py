@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from cayleyband.algebra import BiPoly
 from cayleyband.cli import canonical_json, main, polynomial_json
-from cayleyband.continuants import band_continuant
+from cayleyband.continuants import band_continuant, band_continuants, cayley_continuant
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -43,14 +45,50 @@ def test_table_json_roundtrip(capsys):
         {"dx": 2, "dy": 0, "c": "3"},
         {"dx": 0, "dy": 1, "c": "2"},
     ]
+    # One and two rows: the edges of the row-by-row writer.
+    for n_max in (0, 1):
+        code, out = run_cli(capsys, "table", "--r", "4", "--n-max", str(n_max), "--format", "json")
+        assert code == 0 and out.endswith("]\n")
+        payload = json.loads(out)
+        assert canonical_json(payload) + "\n" == out
+        assert [(entry["r"], entry["n"]) for entry in payload] == [(4, n) for n in range(n_max + 1)]
 
 
 def test_polynomial_json_matches_polynomial():
     poly = band_continuant(2, 4)
-    payload = polynomial_json(2, 4, poly)
+    text = polynomial_json(2, 4, poly)
+    payload = json.loads(text)
+    assert canonical_json(payload) == text
     assert payload["r"] == 2 and payload["n"] == 4
     rebuilt = {(t["dx"], t["dy"]): int(t["c"]) for t in payload["terms"]}
     assert {e: int(c) for e, c in poly.sorted_terms()} == rebuilt
+
+
+def dict_polynomial_json(r: int, n: int, poly: BiPoly) -> str:
+    """The reference: the row as dicts, serialized by compact json.dumps."""
+    terms = [{"dx": dx, "dy": dy, "c": str(c)} for (dx, dy), c in poly.sorted_terms()]
+    return json.dumps({"r": r, "n": n, "terms": terms}, separators=(",", ":"))
+
+
+def test_polynomial_json_is_the_dumps_of_its_dict():
+    cases = [
+        (2, 7, cayley_continuant(7)),  # negative coefficients
+        (3, 1, BiPoly({(4, 1): 2**70, (0, 0): -(2**70) + 1})),
+        (2, 0, BiPoly()),
+    ]
+    cases += [(r, n, poly) for r in range(2, 6) for n, poly in enumerate(band_continuants(r, 12))]
+    for r, n, poly in cases:
+        assert polynomial_json(r, n, poly) == dict_polynomial_json(r, n, poly)
+    assert polynomial_json(2, 0, BiPoly()) == '{"r":2,"n":0,"terms":[]}'
+
+
+def test_polynomial_json_rejects_a_non_integer_coefficient():
+    # The non-integral term is not the leading one: the guard must look at
+    # every term.
+    poly = BiPoly({(2, 0): 5, (1, 0): Fraction(3, 2)})
+    with pytest.raises(ValueError) as excinfo:
+        polynomial_json(2, 2, poly)
+    assert str(excinfo.value) == "cannot serialize non-integer coefficient 3/2"
 
 
 def test_matrix_output(capsys):
