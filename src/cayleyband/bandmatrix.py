@@ -14,18 +14,23 @@ statistics of S_n, which the regression tests pin down at r = 3, n = 4.
 
 ``det_leibniz`` is the small-n oracle (signed permutation expansion);
 ``det_bareiss`` is the scalable fraction-free elimination whose pivot
-divisions are exact in the polynomial ring.
+divisions are exact in the polynomial ring.  Both skip structural zeros
+without knowing r or the band shape: Leibniz builds only the permutations
+that avoid every zero entry, and Bareiss leaves a row alone at a step whose
+pivot column it has a zero in, scaling it up to date only when it is next
+used.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from ._validate import require_band_parameter, require_int
 from .algebra import ONE, X, Y, ZERO, BiPoly, poly_sum
 
-# n! products stop being "instant" beyond 8; Bareiss covers larger n.
+# Leibniz costs one product per permutation that avoids every zero entry.
+# A dense matrix has n! of them, which stops being instant beyond 8; Bareiss
+# covers larger n.
 LEIBNIZ_LIMIT = 8
 
 
@@ -45,6 +50,18 @@ class BandMatrix:
     r: int
     n: int
     entries: tuple[tuple[BiPoly, ...], ...]
+
+    def __post_init__(self) -> None:
+        require_band_parameter(self.r)
+        require_int(self.n, 0, "matrix dimension n must be a nonnegative integer, got {!r}")
+        if len(self.entries) != self.n:
+            raise ValueError(f"matrix has {len(self.entries)} rows, expected n = {self.n}")
+        for i, row in enumerate(self.entries, start=1):
+            if len(row) != self.n:
+                raise ValueError(f"row {i} has {len(row)} entries, expected n = {self.n}")
+            for j, entry in enumerate(row, start=1):
+                if not isinstance(entry, BiPoly):
+                    raise ValueError(f"entry ({i}, {j}) must be a BiPoly, got {entry!r}")
 
 
 def band_matrix(r: int, n: int) -> BandMatrix:
@@ -92,26 +109,25 @@ def _permutation_sign(perm: tuple[int, ...]) -> int:
 def det_leibniz(matrix: BandMatrix) -> BiPoly:
     """Determinant by signed permutation expansion (oracle, n <= 8).
 
-    Permutations touching a structural zero are skipped before any
-    polynomial work happens.  The empty matrix has determinant 1.
+    The permutations are built row by row from each row's nonzero columns,
+    so only those whose entries are all nonzero are ever generated; the
+    others contribute nothing.  The empty matrix has determinant 1.
     """
     n = matrix.n
     if n > LEIBNIZ_LIMIT:
         raise ValueError(f"permutation expansion is limited to n <= {LEIBNIZ_LIMIT}, got {n}")
-    if n == 0:
-        return ONE
     entries = matrix.entries
+    perms: list[tuple[int, ...]] = [()]
+    for row in entries:
+        columns = [j for j, entry in enumerate(row) if not entry.is_zero]
+        perms = [perm + (j,) for perm in perms for j in columns if j not in perm]
 
     def signed_products():
-        for perm in itertools.permutations(range(n)):
+        for perm in perms:
+            term = ONE
             for i, j in enumerate(perm):
-                if entries[i][j].is_zero:
-                    break
-            else:
-                term = ONE
-                for i, j in enumerate(perm):
-                    term = term * entries[i][j]
-                yield -term if _permutation_sign(perm) < 0 else term
+                term = term * entries[i][j]
+            yield -term if _permutation_sign(perm) < 0 else term
 
     return poly_sum(signed_products())
 
@@ -119,28 +135,51 @@ def det_leibniz(matrix: BandMatrix) -> BiPoly:
 def det_bareiss(matrix: BandMatrix) -> BiPoly:
     """Determinant by fraction-free Bareiss elimination.
 
-    Each update divides by the previous pivot; by Sylvester's identity the
+    Each update divides by the previous pivot; by Sylvester's identity every
+    entry after step k is a minor of order k + 1 of the matrix, so the
     division is exact in the polynomial ring, which exact_div enforces.  No
     pivoting is performed: the diagonal of the canonical matrices is built
     from x and stays nonzero, and a vanishing pivot raises ZeroPivotError.
+
+    Scaling is lazy.  A step would only multiply a row with a zero in the
+    pivot column by the new pivot and divide it by the old one, so such a
+    row is left as it is, and the zero tests read it as it stands (a zero
+    stays a zero under that scaling).  Each row remembers the step it was
+    last brought up to date at, with the pivot d_a it was scaled against.
+    When it is next used at step k it catches up in one exact division,
+    again of a minor: (p_k*R[j] - L*row_k[j]) / d_a for an update by pivot
+    p_k, and (R[j]*d_k) / d_a for the pivot row and the last row.
     """
     n = matrix.n
     if n == 0:
         return ONE
     grid = [list(row) for row in matrix.entries]
-    previous_pivot = ONE
+    # pivots[k] divides the updates of step k (pivots[0] = 1); row i was last
+    # brought up to date at step level[i].
+    pivots = [ONE]
+    level = [0] * n
     for k in range(n - 1):
-        pivot = grid[k][k]
-        if pivot.is_zero:
-            raise ZeroPivotError(f"zero pivot at elimination step {k + 1}")
         row_k = grid[k]
+        if row_k[k].is_zero:
+            raise ZeroPivotError(f"zero pivot at elimination step {k + 1}")
+        if level[k] < k:
+            for j in range(k, n):
+                row_k[j] = (row_k[j] * pivots[k]).exact_div(pivots[level[k]])
+        pivot = row_k[k]
         for i in range(k + 1, n):
             row_i = grid[i]
             lower = row_i[k]
+            if lower.is_zero:
+                continue
+            stale = pivots[level[i]]
             for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - lower * row_k[j]).exact_div(previous_pivot)
-        previous_pivot = pivot
-    return grid[n - 1][n - 1]
+                row_i[j] = (pivot * row_i[j] - lower * row_k[j]).exact_div(stale)
+            level[i] = k + 1
+        pivots.append(pivot)
+    last = grid[n - 1][n - 1]
+    if level[n - 1] < n - 1:
+        last = (last * pivots[n - 1]).exact_div(pivots[level[n - 1]])
+    return last
 
 
 def render_matrix(matrix: BandMatrix) -> str:

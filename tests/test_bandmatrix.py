@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleyband.algebra import ONE, X, Y, ZERO, BiPoly
 from cayleyband.bandmatrix import (
@@ -148,6 +153,89 @@ def test_bareiss_zero_pivot_raises():
     m = BandMatrix(r=2, n=2, entries=((ZERO, ONE), (ONE, ZERO)))
     with pytest.raises(ZeroPivotError):
         det_bareiss(m)
+
+
+def _expansion(rows) -> BiPoly:
+    """Plain signed expansion over every permutation of the given rows."""
+    n = len(rows)
+    total = ZERO
+    for perm in itertools.permutations(range(n)):
+        term = ONE
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+_atoms = st.sampled_from([ONE, -ONE, BiPoly.constant(2), BiPoly.constant(-3), X, Y])
+_sums = st.lists(_atoms, min_size=1, max_size=3).map(lambda parts: sum(parts, ZERO))
+
+
+@st.composite
+def _square_matrices(draw):
+    """n <= 6 matrices of short sums (which may cancel to 0), with a zero
+    pattern of random density laid over them."""
+    n = draw(st.integers(0, 6))
+    zero_odds = draw(st.integers(0, 3))
+    rows = tuple(
+        tuple(ZERO if draw(st.integers(0, 3)) < zero_odds else draw(_sums) for _ in range(n))
+        for _ in range(n)
+    )
+    return BandMatrix(r=2, n=n, entries=rows)
+
+
+@settings(deadline=None)
+@given(_square_matrices())
+def test_determinants_of_arbitrary_matrices(matrix):
+    """Off the band the lazy elimination must still stop at the first
+    vanishing leading principal minor, and otherwise agree with Leibniz."""
+    rows = matrix.entries
+    for k in range(1, matrix.n):
+        if _expansion([row[:k] for row in rows[:k]]).is_zero:
+            with pytest.raises(ZeroPivotError, match=f"^zero pivot at elimination step {k}$"):
+                det_bareiss(matrix)
+            return
+    expected = _expansion(rows)
+    assert det_bareiss(matrix) == expected
+    assert det_leibniz(matrix) == expected
+
+
+def test_bareiss_rescales_only_rows_it_uses(monkeypatch):
+    calls = 0
+    exact_div = BiPoly.exact_div
+
+    def counting_exact_div(self, divisor):
+        nonlocal calls
+        calls += 1
+        return exact_div(self, divisor)
+
+    monkeypatch.setattr(BiPoly, "exact_div", counting_exact_div)
+    det_bareiss(band_matrix(3, 16))
+    # Only the r - 1 = 2 rows below the pivot with a nonzero in its column
+    # are updated, each in its n - 1 - k columns after step k, and just one
+    # row is left at the last step: 2 * (1 + ... + 15) - 1.  The pivot row
+    # and the last row never need catching up, since each row's x entry left
+    # of the diagonal updated it at the step before.  Rescaling every lower
+    # row at every step would take 1 + 4 + ... + 15**2 = 1240 divisions.
+    assert calls == 239
+
+
+@pytest.mark.parametrize(
+    "r, n, entries, message",
+    [
+        (2, 1, ((X, ONE), (ONE, X)), "matrix has 2 rows, expected n = 1"),
+        (2, 2, ((X, ONE, Y), (ONE, X, Y)), "row 1 has 3 entries, expected n = 2"),
+        (2, 2, ((X, ONE), (ONE,)), "row 2 has 1 entries, expected n = 2"),
+        (2, 2, ((X, ONE), (0, X)), "entry (2, 1) must be a BiPoly, got 0"),
+        (1, 0, (), "band parameter r must be an integer >= 2, got 1"),
+        (2, -1, (), "matrix dimension n must be a nonnegative integer, got -1"),
+        (2, True, ((X,),), "matrix dimension n must be a nonnegative integer, got True"),
+    ],
+)
+def test_band_matrix_rejects_a_malformed_shape(r, n, entries, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BandMatrix(r=r, n=n, entries=entries)
 
 
 def test_decreasing_subdiagonal_is_a_different_family():
