@@ -99,16 +99,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_band_parameter(parser: argparse.ArgumentParser, r: int) -> None:
-    if r < 2:
-        parser.error(f"--r must be at least 2, got {r}")
+def _library_call(parser: argparse.ArgumentParser, function, *args, **kwargs):
+    """Call a library entry point.  The ValueError its input check raises
+    becomes a usage error (exit 2) carrying the library's message."""
+    try:
+        return function(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _run_table(args, parser) -> int:
-    _require_band_parameter(parser, args.r)
-    if args.n_max < 0:
-        parser.error(f"--n-max must be nonnegative, got {args.n_max}")
-    polynomials = band_continuants(args.r, args.n_max)
+    polynomials = _library_call(parser, band_continuants, args.r, args.n_max)
     if args.format == "json":
         # One row at a time, so no list of every row's dicts or text is held.
         write = sys.stdout.write
@@ -123,20 +124,14 @@ def _run_table(args, parser) -> int:
 
 
 def _run_matrix(args, parser) -> int:
-    _require_band_parameter(parser, args.r)
-    if args.n < 0:
-        parser.error(f"--n must be nonnegative, got {args.n}")
-    rendering = render_matrix(band_matrix(args.r, args.n))
+    rendering = render_matrix(_library_call(parser, band_matrix, args.r, args.n))
     if rendering:
         print(rendering)
     return 0
 
 
 def _run_sequence(args, parser) -> int:
-    _require_band_parameter(parser, args.r)
-    if args.n_max < 0:
-        parser.error(f"--n-max must be nonnegative, got {args.n_max}")
-    for poly in band_continuants(args.r, args.n_max):
+    for poly in _library_call(parser, band_continuants, args.r, args.n_max):
         print(poly.evaluate(args.x, args.y))
     return 0
 
@@ -155,14 +150,10 @@ def _parse_corrupt(parser: argparse.ArgumentParser, text: str) -> tuple[int, int
 
 
 def _run_verify(args, parser) -> int:
-    if args.r_max < 2:
-        parser.error(f"--r-max must be at least 2, got {args.r_max}")
-    if args.n_max < 0:
-        parser.error(f"--n-max must be nonnegative, got {args.n_max}")
-    if args.order < 1:
-        parser.error(f"--order must be at least 1, got {args.order}")
     corrupt = _parse_corrupt(parser, args.corrupt) if args.corrupt is not None else None
-    report = run_verification(
+    report = _library_call(
+        parser,
+        run_verification,
         r_max=args.r_max,
         n_max=args.n_max,
         order=args.order,

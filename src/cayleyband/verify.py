@@ -1,8 +1,10 @@
 """Cross-verification of the four independent computation routes.
 
-Each check family sweeps a parameter range and reports a single result:
-pass, or the first failing parameter point with a human-readable detail
-line.  The families are deliberately redundant.  The recurrence, the two
+Each check family is a generator over the r and n ranges that
+``run_verification`` builds once, yielding each failing parameter point
+with a human-readable detail line.  ``_sweep`` reports it as a single
+result: the first failure, or a pass whose params name those same ranges.
+The families are deliberately redundant.  The recurrence, the two
 determinant algorithms, the permutation enumeration, and the generating
 function share no code beyond the polynomial arithmetic, so agreement
 across all of them is strong evidence that each one is right.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ._validate import require_int
@@ -115,48 +118,48 @@ def run_verification(
         return matrix
 
     started = time.perf_counter()
-    tables = {r: band_continuants(r, n_max) for r in range(2, r_max + 1)}
-    scanned = range(min(n_max, BRUTE_FORCE_LIMIT) + 1)
-    scans = {r: [cycle_distribution_bruteforce(r, n) for n in scanned] for r in tables}
+    rs, ns = range(2, r_max + 1), range(n_max + 1)
+    tables = {r: band_continuants(r, n_max) for r in rs}
+    scans = {r: [cycle_distribution_bruteforce(r, n) for n in ns[: BRUTE_FORCE_LIMIT + 1]] for r in rs}
+    r_span, n_span = f"r={rs[0]}..{rs[-1]}", f"n={ns[0]}..{ns[-1]}"
+    span = f"{r_span} {n_span}"
     checks = (
-        _check_base_cases(r_max, n_max, tables, make_matrix),
-        _check_four_way(r_max, n_max, tables, scans, make_matrix),
-        _check_factorial_specialization(r_max, n_max, tables),
-        _check_stirling_specialization(r_max, n_max, tables),
-        _check_cayley_sign_relation(n_max, tables),
-        _check_ode_residual(r_max, order),
-        _check_factorization(r_max, n_max, tables, scans),
+        _sweep("base_cases", f"{r_span} n<r", _check_base_cases(rs, ns, tables, make_matrix)),
+        _sweep("four_way", span, _check_four_way(rs, ns, tables, scans, make_matrix)),
+        _sweep("factorial_specialization", f"{span} at x=1 y=1", _check_factorial(rs, ns, tables)),
+        _sweep("stirling_specialization", f"{span} at y=x", _check_stirling(rs, ns, tables)),
+        _sweep("cayley_sign_relation", n_span, _check_cayley_sign(ns, tables)),
+        _sweep("ode_residual", f"{r_span} order={order}", _check_ode_residual(rs, order)),
+        _sweep("regular_singular_factorization", span, _check_factorization(rs, ns, tables, scans)),
     )
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerifyReport(checks=checks, elapsed_ms=elapsed_ms)
 
 
-def _check_base_cases(r_max, n_max, tables, make_matrix) -> CheckResult:
+def _sweep(name: str, params: str, failures: Iterator[tuple[str, str]]) -> CheckResult:
+    """The first (params, detail) that failures yields, or a pass over params."""
+    for point, detail in failures:
+        return CheckResult(name, point, "fail", detail)
+    return CheckResult(name, params, "pass")
+
+
+def _check_base_cases(rs, ns, tables, make_matrix) -> Iterator[tuple[str, str]]:
     """Below the bandwidth the polynomial must be the rising factorial."""
-    name = "base_cases"
-    for r in range(2, r_max + 1):
-        for n in range(min(r - 1, n_max) + 1):
+    for r in rs:
+        for n in ns[:r]:
             expected = rising_factorial(n)
             if tables[r][n] != expected:
-                return CheckResult(
-                    name, f"r={r} n={n}", "fail",
-                    f"recurrence gives {tables[r][n]}, rising factorial is {expected}",
-                )
+                yield f"r={r} n={n}", f"recurrence gives {tables[r][n]}, rising factorial is {expected}"
             determinant = det_bareiss(make_matrix(r, n))
             if determinant != expected:
-                return CheckResult(
-                    name, f"r={r} n={n}", "fail",
-                    f"determinant gives {determinant}, rising factorial is {expected}",
-                )
-    return CheckResult(name, f"r=2..{r_max} n<r", "pass")
+                yield f"r={r} n={n}", f"determinant gives {determinant}, rising factorial is {expected}"
 
 
-def _check_four_way(r_max, n_max, tables, scans, make_matrix) -> CheckResult:
+def _check_four_way(rs, ns, tables, scans, make_matrix) -> Iterator[tuple[str, str]]:
     """All four computation routes must produce the same polynomial."""
-    name = "four_way"
-    for r in range(2, r_max + 1):
-        egf_table = egf_coefficients(r, n_max)
-        for n in range(n_max + 1):
+    for r in rs:
+        egf_table = egf_coefficients(r, ns[-1])
+        for n in ns:
             expected = tables[r][n]
             matrix = make_matrix(r, n)
             candidates = [
@@ -169,85 +172,58 @@ def _check_four_way(r_max, n_max, tables, scans, make_matrix) -> CheckResult:
                 candidates.append(("cycle enumeration", scans[r][n]))
             for label, value in candidates:
                 if value != expected:
-                    return CheckResult(
-                        name, f"r={r} n={n}", "fail",
-                        f"{label} gives {value}, recurrence gives {expected}",
-                    )
-    return CheckResult(name, f"r=2..{r_max} n=0..{n_max}", "pass")
+                    yield f"r={r} n={n}", f"{label} gives {value}, recurrence gives {expected}"
 
 
-def _check_factorial_specialization(r_max, n_max, tables) -> CheckResult:
+def _check_factorial(rs, ns, tables) -> Iterator[tuple[str, str]]:
     """At x=1, y=1 every permutation counts once, so the value is n!."""
-    name = "factorial_specialization"
-    for r in range(2, r_max + 1):
-        for n in range(n_max + 1):
+    for r in rs:
+        for n in ns:
             value = tables[r][n].evaluate(1, 1)
             if value != math.factorial(n):
-                return CheckResult(
-                    name, f"r={r} n={n}", "fail",
-                    f"value at x=1 y=1 is {value}, expected {math.factorial(n)}",
-                )
-    return CheckResult(name, f"r=2..{r_max} n=0..{n_max} at x=1 y=1", "pass")
+                yield f"r={r} n={n}", f"value at x=1 y=1 is {value}, expected {math.factorial(n)}"
 
 
-def _check_stirling_specialization(r_max, n_max, tables) -> CheckResult:
+def _check_stirling(rs, ns, tables) -> Iterator[tuple[str, str]]:
     """Setting y=x merges the two statistics into the total cycle count,
     whose distribution over S_n is the rising factorial."""
-    name = "stirling_specialization"
-    expected = [rising_factorial(n) for n in range(n_max + 1)]
-    for r in range(2, r_max + 1):
-        for n in range(n_max + 1):
+    expected = [rising_factorial(n) for n in ns]
+    for r in rs:
+        for n in ns:
             merged = tables[r][n].substitute(X, X)
             if merged != expected[n]:
-                return CheckResult(
-                    name, f"r={r} n={n}", "fail",
-                    f"value at y=x is {merged}, expected {expected[n]}",
-                )
-    return CheckResult(name, f"r=2..{r_max} n=0..{n_max} at y=x", "pass")
+                yield f"r={r} n={n}", f"value at y=x is {merged}, expected {expected[n]}"
 
 
-def _check_cayley_sign_relation(n_max, tables) -> CheckResult:
+def _check_cayley_sign(ns, tables) -> Iterator[tuple[str, str]]:
     """The classical three-term continuant matches r=2 after y -> -y."""
-    name = "cayley_sign_relation"
-    for n in range(n_max + 1):
+    for n in ns:
         flipped = cayley_continuant(n).substitute(X, -Y)
         if flipped != tables[2][n]:
-            return CheckResult(
-                name, f"n={n}", "fail",
-                f"classical continuant at -y is {flipped}, band polynomial is {tables[2][n]}",
-            )
-    return CheckResult(name, f"n=0..{n_max}", "pass")
+            yield f"n={n}", f"classical continuant at -y is {flipped}, band polynomial is {tables[2][n]}"
 
 
-def _check_ode_residual(r_max, order) -> CheckResult:
-    name = "ode_residual"
-    for r in range(2, r_max + 1):
-        residual = ode_residual(r, order)
-        if not residual.is_zero:
-            first_bad = next(k for k in range(residual.order + 1) if not residual.coefficient(k).is_zero)
-            return CheckResult(
-                name, f"r={r} order={order}", "fail",
-                f"residual coefficient of t^{first_bad} is {residual.coefficient(first_bad)}",
-            )
-    return CheckResult(name, f"r=2..{r_max} order={order}", "pass")
+def _check_ode_residual(rs, order) -> Iterator[tuple[str, str]]:
+    for r in rs:
+        for power, coefficient in enumerate(ode_residual(r, order).coefficients):
+            if not coefficient.is_zero:
+                yield f"r={r} order={order}", f"residual coefficient of t^{power} is {coefficient}"
 
 
-def _check_factorization(r_max, n_max, tables, scans) -> CheckResult:
+def _check_factorization(rs, ns, tables, scans) -> Iterator[tuple[str, str]]:
     """exp of each logarithm piece counts one pure class, as do the
     recurrence and the enumeration read at x=1, y=0 and at x=0, y=1."""
-    name = "regular_singular_factorization"
-    for r in range(2, r_max + 1):
+    for r in rs:
         scan_agrees = all(
             scan.evaluate(*point) == tables[r][n].evaluate(*point)
             for n, scan in enumerate(scans[r])
             for point in ((1, 0), (0, 1))
         )
-        if not (factorization_check(r, n_max) and scan_agrees):
-            return CheckResult(
-                name, f"r={r} n=0..{n_max}", "fail",
+        if not (factorization_check(r, ns[-1]) and scan_agrees):
+            yield (
+                f"r={r} n={ns[0]}..{ns[-1]}",
                 "pure-class counts from exp of a single logarithm piece disagree",
             )
-    return CheckResult(name, f"r=2..{r_max} n=0..{n_max}", "pass")
 
 
 def render_report_text(report: VerifyReport) -> str:

@@ -196,9 +196,20 @@ def test_hidden_flags_stay_out_of_help(capsys):
         ["verify", "--subdiagonal-step", "2"],
         ["bogus"],
         [],
+        ["sequence", "--r", "2", "--n-max", "-1"],
+        ["verify", "--n-max", "-1"],
     ],
 )
 def test_malformed_invocations_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+
+
+def test_out_of_range_input_reports_the_library_message(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["matrix", "--r", "1", "--n", "3"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: band parameter r must be an integer >= 2, got 1\n")

@@ -7,8 +7,8 @@ import math
 
 import pytest
 
-from cayleyband import continuants, egf
-from cayleyband.algebra import BiPoly, TruncSeries
+from cayleyband import continuants, egf, verify
+from cayleyband.algebra import BiPoly, TruncSeries, X
 from cayleyband.verify import CheckResult, run_verification, render_report_text
 
 CHECK_NAMES = [
@@ -150,6 +150,120 @@ def test_a_faulty_route_fails_the_checks_that_read_it(monkeypatch, mutate, faili
     mutate(monkeypatch)
     report = run_verification(r_max=3, n_max=5, order=8)
     assert [check.name for check in report.checks if not check.ok] == failing
+
+
+def _bump_table_entry(n):
+    def mutate(monkeypatch):
+        build = verify.band_continuants
+
+        def bumped(r, n_max):
+            table = build(r, n_max)
+            if r == 2:
+                table[n] = table[n] + 1
+            return table
+
+        monkeypatch.setattr(verify, "band_continuants", bumped)
+
+    return mutate
+
+
+def _leibniz_wrong_at_8(monkeypatch):
+    leibniz = verify.det_leibniz
+    monkeypatch.setattr(verify, "det_leibniz", lambda m: leibniz(m) + int(m.n == 8))
+
+
+def _bump_regular_log_t1(monkeypatch):
+    build = egf.build_basis
+
+    def bumped(r, order):
+        basis = build(r, order)
+        if r != 2 or order < 1:
+            return basis
+        regular = list(basis.regular_log.coefficients)
+        regular[1] = regular[1] + 1
+        return dataclasses.replace(basis, regular_log=TruncSeries(regular))
+
+    monkeypatch.setattr(egf, "build_basis", bumped)
+
+
+class _StrayTopTermExp(TruncSeries):
+    """exp() is right except for an extra x in its top coefficient."""
+
+    def exp(self):
+        coefficients = list(super().exp().coefficients)
+        coefficients[-1] = coefficients[-1] + X
+        return TruncSeries(coefficients)
+
+
+def _stray_degree_one_term_in_exp_a(monkeypatch):
+    # Only the exp(A) that factorization_check takes is wrong: egf_series
+    # scales A first, which yields a plain TruncSeries.  The constant term
+    # is unchanged, so only the degree test can reject the coefficient.
+    build = egf.build_basis
+
+    def stray(r, order):
+        basis = build(r, order)
+        return dataclasses.replace(
+            basis, regular_log=_StrayTopTermExp(basis.regular_log.coefficients)
+        )
+
+    monkeypatch.setattr(egf, "build_basis", stray)
+
+
+@pytest.mark.parametrize(
+    "mutate, failing",
+    [
+        (
+            _bump_table_entry(0),
+            [
+                ("base_cases", "r=2 n=0"),
+                ("four_way", "r=2 n=0"),
+                ("factorial_specialization", "r=2 n=0"),
+                ("stirling_specialization", "r=2 n=0"),
+                ("cayley_sign_relation", "n=0"),
+                ("regular_singular_factorization", "r=2 n=0..8"),
+            ],
+        ),
+        (
+            _bump_table_entry(1),
+            [
+                ("base_cases", "r=2 n=1"),
+                ("four_way", "r=2 n=1"),
+                ("factorial_specialization", "r=2 n=1"),
+                ("stirling_specialization", "r=2 n=1"),
+                ("cayley_sign_relation", "n=1"),
+                ("regular_singular_factorization", "r=2 n=0..8"),
+            ],
+        ),
+        (
+            _bump_table_entry(4),
+            [
+                ("four_way", "r=2 n=4"),
+                ("factorial_specialization", "r=2 n=4"),
+                ("stirling_specialization", "r=2 n=4"),
+                ("cayley_sign_relation", "n=4"),
+                ("regular_singular_factorization", "r=2 n=0..8"),
+            ],
+        ),
+        (_leibniz_wrong_at_8, [("four_way", "r=2 n=8")]),
+        (
+            _bump_regular_log_t1,
+            [
+                ("four_way", "r=2 n=1"),
+                ("ode_residual", "r=2 order=30"),
+                ("regular_singular_factorization", "r=2 n=0..8"),
+            ],
+        ),
+        (_stray_degree_one_term_in_exp_a, [("regular_singular_factorization", "r=2 n=0..8")]),
+    ],
+    ids=["table-n0", "table-n1", "table-n4", "leibniz-n8", "egf-t1", "exp-a-stray-term"],
+)
+def test_a_fault_at_a_sweep_edge_fails_exactly_there(monkeypatch, mutate, failing):
+    # Each fault sits at one extreme of a check's sweep, so a check whose
+    # loop skipped that point would pass and drop out of the list.
+    mutate(monkeypatch)
+    report = run_verification(r_max=5, n_max=8, order=30)
+    assert [(check.name, check.params) for check in report.checks if not check.ok] == failing
 
 
 def test_report_dict_shape():
