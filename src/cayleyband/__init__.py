@@ -13,7 +13,6 @@ from .algebra import (
     ZERO,
     BiPoly,
     NonExactDivisionError,
-    Rational,
     TruncSeries,
 )
 from .bandmatrix import (
@@ -43,7 +42,6 @@ from .continuants import (
     rising_factorial,
 )
 from .egf import (
-    EgfBasis,
     NonIntegerCoefficientError,
     build_basis,
     egf_coefficient,
@@ -67,12 +65,10 @@ __all__ = [
     "BiPoly",
     "CheckResult",
     "CycleStats",
-    "EgfBasis",
     "LEIBNIZ_LIMIT",
     "NonExactDivisionError",
     "NonIntegerCoefficientError",
     "ONE",
-    "Rational",
     "TruncSeries",
     "VerifyReport",
     "X",

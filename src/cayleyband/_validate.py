@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 
+class InputError(ValueError):
+    """A public entry point rejected an argument: the caller's mistake, not
+    a fault in the computation."""
+
+
 def is_int(value: object, minimum: int) -> bool:
     """True if value is an int of at least minimum.
 
@@ -13,12 +18,12 @@ def is_int(value: object, minimum: int) -> bool:
 
 
 def require_int(value: object, minimum: int, message: str) -> None:
-    """Raise ValueError unless is_int(value, minimum).
+    """Raise InputError unless is_int(value, minimum).
 
     message is a format string; ``{!r}`` in it receives the rejected value.
     """
     if not is_int(value, minimum):
-        raise ValueError(message.format(value))
+        raise InputError(message.format(value))
 
 
 def require_band_parameter(r: object) -> None:

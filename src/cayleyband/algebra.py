@@ -28,17 +28,10 @@ from fractions import Fraction
 
 from ._validate import is_int, require_int
 
-# Arbitrary-precision rational scalar for the coefficients that are not
-# integral.  Fraction guarantees the canonical-form invariants (positive
-# denominator, lowest terms).
-Rational = Fraction
-
 Exponents = tuple[int, int]
 CoeffLike = int | Fraction
 
 _UNIT_TERMS: dict[Exponents, int] = {(0, 0): 1}
-
-_ORDER_MESSAGE = "series order must be a nonnegative integer, got {!r}"
 
 
 class NonExactDivisionError(ArithmeticError):
@@ -158,10 +151,6 @@ class BiPoly:
         coefficient = _coerce_coefficient(value)
         return cls._raw({(0, 0): coefficient} if coefficient else {}, type(coefficient) is not int)
 
-    @classmethod
-    def monomial(cls, dx: int, dy: int, coefficient: CoeffLike = 1) -> BiPoly:
-        return cls({(dx, dy): coefficient})
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -169,12 +158,6 @@ class BiPoly:
     def is_integral(self) -> bool:
         """True if every coefficient is an integer."""
         return all(c.denominator == 1 for c in self._terms.values())
-
-    def total_degree(self) -> int:
-        """Maximum of dx + dy over the terms; 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        return max(dx + dy for dx, dy in self._terms)
 
     def coefficient(self, dx: int, dy: int) -> CoeffLike:
         return self._terms.get((dx, dy), 0)
@@ -194,9 +177,6 @@ class BiPoly:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def __pos__(self) -> BiPoly:
-        return self
 
     def __neg__(self) -> BiPoly:
         return BiPoly._raw({e: -c for e, c in self._terms.items()}, self._rational)
@@ -397,20 +377,10 @@ class TruncSeries:
         self._coeffs = coeffs
 
     @classmethod
-    def zero(cls, order: int) -> TruncSeries:
-        require_int(order, 0, _ORDER_MESSAGE)
-        return cls([ZERO] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> TruncSeries:
-        require_int(order, 0, _ORDER_MESSAGE)
-        return cls([ONE] + [ZERO] * order)
-
-    @classmethod
     def from_terms(cls, order: int, entries: Mapping[int, BiPoly | CoeffLike]) -> TruncSeries:
         """Series with the given t-power coefficients; powers beyond the
         order are silently truncated away."""
-        require_int(order, 0, _ORDER_MESSAGE)
+        require_int(order, 0, "series order must be a nonnegative integer, got {!r}")
         coeffs: list[BiPoly] = [ZERO] * (order + 1)
         for power, value in entries.items():
             require_int(power, 0, "t-power must be a nonnegative integer, got {!r}")
@@ -439,9 +409,6 @@ class TruncSeries:
         return self._coeffs == other._coeffs
 
     __hash__ = None  # type: ignore[assignment]
-
-    def __neg__(self) -> TruncSeries:
-        return TruncSeries([-c for c in self._coeffs])
 
     def __add__(self, other: TruncSeries) -> TruncSeries:
         if not isinstance(other, TruncSeries):

@@ -15,6 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
+from ._validate import InputError
 from .algebra import BiPoly
 from .bandmatrix import band_matrix, render_matrix
 from .continuants import band_continuants
@@ -100,11 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _library_call(parser: argparse.ArgumentParser, function, *args, **kwargs):
-    """Call a library entry point.  The ValueError its input check raises
-    becomes a usage error (exit 2) carrying the library's message."""
+    """Call a library entry point.  The InputError its input check raises
+    becomes a usage error (exit 2) carrying the library's message; any other
+    error is a fault in the computation and propagates."""
     try:
         return function(*args, **kwargs)
-    except ValueError as exc:
+    except InputError as exc:
         parser.error(str(exc))
 
 

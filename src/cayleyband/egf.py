@@ -15,8 +15,8 @@ compared with the recurrence only, and verify compares both with the scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from ._validate import require_band_parameter, require_int
 from .algebra import BiPoly, TruncSeries, X, Y
@@ -31,18 +31,9 @@ class NonIntegerCoefficientError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class EgfBasis:
-    """The two logarithm pieces, truncated at a common order."""
-
-    r: int
-    order: int
-    regular_log: TruncSeries
-    singular_log: TruncSeries
-
-
-def build_basis(r: int, order: int) -> EgfBasis:
-    """Split sum(t^k / k, k >= 1) by divisibility of k by r."""
+def build_basis(r: int, order: int) -> tuple[TruncSeries, TruncSeries]:
+    """Split sum(t^k / k, k >= 1) by divisibility of k by r, into the pair
+    (regular_log, singular_log) truncated at a common order."""
     require_band_parameter(r)
     require_int(order, 0, "truncation order must be a nonnegative integer, got {!r}")
     regular = [BiPoly.constant(0) for _ in range(order + 1)]
@@ -50,18 +41,18 @@ def build_basis(r: int, order: int) -> EgfBasis:
     for k in range(1, order + 1):
         target = singular if k % r == 0 else regular
         target[k] = BiPoly.constant(Fraction(1, k))
-    return EgfBasis(
-        r=r,
-        order=order,
-        regular_log=TruncSeries(regular),
-        singular_log=TruncSeries(singular),
-    )
+    return TruncSeries(regular), TruncSeries(singular)
 
 
 def egf_series(r: int, order: int) -> TruncSeries:
     """exp(x*A + y*B) truncated at the given order."""
-    basis = build_basis(r, order)
-    return (basis.regular_log.scale(X) + basis.singular_log.scale(Y)).exp()
+    regular_log, singular_log = build_basis(r, order)
+    return (regular_log.scale(X) + singular_log.scale(Y)).exp()
+
+
+def _scaled(series: TruncSeries) -> list[BiPoly]:
+    """n! * [t^n] series for n = 0 .. the series order."""
+    return [coefficient * factorial(n) for n, coefficient in enumerate(series.coefficients)]
 
 
 def egf_coefficients(r: int, n_max: int) -> list[BiPoly]:
@@ -70,18 +61,12 @@ def egf_coefficients(r: int, n_max: int) -> list[BiPoly]:
     Raises NonIntegerCoefficientError if any scaled coefficient has a
     fractional coefficient left over.
     """
-    series = egf_series(r, n_max)
-    table = []
-    factorial = 1
-    for n in range(n_max + 1):
-        if n > 0:
-            factorial *= n
-        poly = series.coefficient(n) * factorial
+    table = _scaled(egf_series(r, n_max))
+    for n, poly in enumerate(table):
         if not poly.is_integral():
             raise NonIntegerCoefficientError(
                 f"coefficient of t^{n} for r={r} is not integral: {poly}"
             )
-        table.append(poly)
     return table
 
 
@@ -121,19 +106,12 @@ def factorization_check(r: int, order: int) -> bool:
     n!-scaled coefficients must match V(r, n) from the recurrence at
     x=1, y=0 and at x=0, y=1.  The enumeration comparison lives in verify.
     """
-    basis = build_basis(r, order)
-    regular_series = basis.regular_log.exp()
-    singular_series = basis.singular_log.exp()
+    regular_log, singular_log = build_basis(r, order)
     table = band_continuants(r, order)
-    factorial = 1
-    for n in range(order + 1):
-        if n > 0:
-            factorial *= n
-        for series, point in ((regular_series, (1, 0)), (singular_series, (0, 1))):
-            poly = series.coefficient(n) * factorial
-            if poly.total_degree() > 0:
-                return False
-            value = poly.coefficient(0, 0)
-            if value.denominator != 1 or value != table[n].evaluate(*point):
+    for log, point in ((regular_log, (1, 0)), (singular_log, (0, 1))):
+        # A coefficient with a stray x or y, or a non-integral one, is
+        # unequal to any int.
+        for n, poly in enumerate(_scaled(log.exp())):
+            if poly != table[n].evaluate(*point):
                 return False
     return True

@@ -61,8 +61,8 @@ def test_canonical_string_forms():
     assert str(BiPoly.constant(-1)) == "-1"
     assert str(ZERO) == "0"
     assert str(X) == "x"
-    assert str(BiPoly.monomial(1, 2, 2)) == "2*x*y^2"
-    assert str(BiPoly.monomial(0, 1, Fraction(1, 2))) == "1/2*y"
+    assert str(BiPoly({(1, 2): 2})) == "2*x*y^2"
+    assert str(BiPoly({(0, 1): Fraction(1, 2)})) == "1/2*y"
 
 
 def test_sorted_terms_graded_order():
@@ -87,6 +87,8 @@ def test_ring_axioms_on_random_triples():
 
 def test_scalar_mixing():
     assert 2 * X + 3 == X + X + 3
+    assert 3 + X == X + 3
+    assert Fraction(1, 2) + Y == Y + Fraction(1, 2)
     assert 1 - Y == -(Y - 1)
     assert Fraction(1, 2) * (X + X) == X
     assert X * 0 == ZERO
@@ -96,7 +98,7 @@ def test_scalar_mixing():
 def test_power():
     assert (X + Y) ** 2 == X * X + 2 * X * Y + Y * Y
     assert (X - 1) ** 0 == ONE
-    assert X**5 == BiPoly.monomial(5, 0)
+    assert X**5 == BiPoly({(5, 0): 1})
     with pytest.raises(ValueError):
         X ** (-1)
 
@@ -125,13 +127,11 @@ def test_substitute():
     assert poly.substitute(X + 1, ONE * 2) == (X + 1) ** 2 + 2
 
 
-def test_coefficient_access_and_degree():
+def test_coefficient_access_and_integrality():
     poly = 3 * X * Y + 7
     assert poly.coefficient(1, 1) == 3
     assert poly.coefficient(0, 0) == 7
     assert poly.coefficient(5, 5) == 0
-    assert poly.total_degree() == 2
-    assert ZERO.total_degree() == 0
     assert poly.is_integral()
     assert not (poly * Fraction(1, 3)).is_integral()
 
@@ -174,8 +174,8 @@ def test_series_construction_and_access():
     assert series.order == 2
     assert series.coefficient(1) == 2
     assert TruncSeries.from_terms(2, {0: 1, 5: 7}) == TruncSeries([1, 0, 0])
-    assert TruncSeries.zero(3).is_zero
-    assert not TruncSeries.one(3).is_zero
+    assert TruncSeries([0, 0, 0, 0]).is_zero
+    assert not TruncSeries([1, 0, 0, 0]).is_zero
     with pytest.raises(ValueError):
         TruncSeries([])
     with pytest.raises(ValueError):
@@ -200,7 +200,7 @@ def test_series_binary_operations_truncate_to_min_order():
 def test_series_product_small_cases():
     assert TruncSeries([1, 1, 0]) * TruncSeries([1, -1, 0]) == TruncSeries([1, 0, -1])
     geometric = TruncSeries([1, 1, 1, 1])
-    assert geometric * TruncSeries.one(3) == geometric
+    assert geometric * TruncSeries([1, 0, 0, 0]) == geometric
     assert TruncSeries([0, X, 0]) * TruncSeries([0, Y, 0]) == TruncSeries([0, 0, X * Y])
 
 
@@ -238,14 +238,14 @@ def test_series_exp_of_xt():
 
 
 def test_series_exp_of_zero():
-    assert TruncSeries.zero(5).exp() == TruncSeries.one(5)
+    assert TruncSeries([0] * 6).exp() == TruncSeries.from_terms(5, {0: 1})
 
 
 def test_series_exp_is_a_homomorphism():
     a = TruncSeries.from_terms(6, {1: X})
     b = TruncSeries.from_terms(6, {2: Y})
     assert (a + b).exp() == a.exp() * b.exp()
-    assert a.exp() * (-a).exp() == TruncSeries.one(6)
+    assert a.exp() * a.scale(-1).exp() == TruncSeries.from_terms(6, {0: 1})
 
 
 def random_series_with_zero_head(rng: random.Random, order: int) -> TruncSeries:
@@ -259,7 +259,7 @@ def test_series_exp_identities_on_random_inputs():
     for _ in range(20):
         a = random_series_with_zero_head(rng, 6)
         e = a.exp()
-        assert e * (-a).exp() == TruncSeries.one(6)
+        assert e * a.scale(-1).exp() == TruncSeries.from_terms(6, {0: 1})
         assert e.derivative() == a.derivative() * e
 
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from cayleyband.algebra import BiPoly
+from cayleyband import egf
+from cayleyband.algebra import BiPoly, TruncSeries
 from cayleyband.cli import canonical_json, main, polynomial_json
 from cayleyband.continuants import band_continuant, band_continuants, cayley_continuant
 
@@ -213,3 +214,19 @@ def test_out_of_range_input_reports_the_library_message(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith("error: band parameter r must be an integer >= 2, got 1\n")
+
+
+def test_an_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
+    # A regular log with constant term 1 breaks exp() inside the EGF route.
+    # That ValueError is a fault in the computation, not in the command
+    # line, so it must leave main instead of becoming exit 2.
+    build = egf.build_basis
+
+    def shifted(r, order):
+        regular_log, singular_log = build(r, order)
+        return TruncSeries([1, *regular_log.coefficients[1:]]), singular_log
+
+    monkeypatch.setattr(egf, "build_basis", shifted)
+    with pytest.raises(ValueError, match="^series exponential requires a zero constant term$"):
+        main(["verify", "--r-max", "2", "--n-max", "3", "--order", "4"])
+    assert capsys.readouterr().err == ""

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from cayleyband import egf
 from cayleyband.algebra import BiPoly, TruncSeries, X, Y
 from cayleyband.continuants import band_continuants
 from cayleyband.egf import (
+    NonIntegerCoefficientError,
     build_basis,
     egf_coefficient,
     egf_coefficients,
@@ -19,34 +21,34 @@ from cayleyband.egf import (
 
 
 def test_basis_r2():
-    basis = build_basis(2, 4)
+    regular_log, singular_log = build_basis(2, 4)
     third = BiPoly.constant(Fraction(1, 3))
     half = BiPoly.constant(Fraction(1, 2))
     quarter = BiPoly.constant(Fraction(1, 4))
-    assert basis.regular_log == TruncSeries([0, 1, 0, third, 0])
-    assert basis.singular_log == TruncSeries([0, 0, half, 0, quarter])
+    assert regular_log == TruncSeries([0, 1, 0, third, 0])
+    assert singular_log == TruncSeries([0, 0, half, 0, quarter])
 
 
 def test_basis_r3():
-    basis = build_basis(3, 3)
-    assert basis.regular_log == TruncSeries([0, 1, Fraction(1, 2), 0])
-    assert basis.singular_log == TruncSeries([0, 0, 0, Fraction(1, 3)])
+    regular_log, singular_log = build_basis(3, 3)
+    assert regular_log == TruncSeries([0, 1, Fraction(1, 2), 0])
+    assert singular_log == TruncSeries([0, 0, 0, Fraction(1, 3)])
 
 
 def test_basis_splits_the_full_logarithm():
     # the two pieces together are the series of log 1/(1-t)
     for r in range(2, 6):
-        basis = build_basis(r, 10)
-        combined = basis.regular_log + basis.singular_log
+        regular_log, singular_log = build_basis(r, 10)
+        combined = regular_log + singular_log
         for k in range(1, 11):
             assert combined.coefficient(k) == BiPoly.constant(Fraction(1, k))
         assert combined.coefficient(0).is_zero
 
 
 def test_basis_order_zero():
-    basis = build_basis(5, 0)
-    assert basis.regular_log.is_zero
-    assert basis.singular_log.is_zero
+    regular_log, singular_log = build_basis(5, 0)
+    assert regular_log.is_zero
+    assert singular_log.is_zero
 
 
 def test_basis_validation():
@@ -78,6 +80,22 @@ def test_coefficients_are_integral():
         assert poly.is_integral()
 
 
+def test_a_non_integral_coefficient_raises(monkeypatch):
+    # With 1/3 in place of 1/2 at t^2 of r = 3's regular log, 2! times the
+    # t^2 coefficient of the series is x^2 + 2/3*x.
+    build = build_basis
+
+    def wrong_half(r, order):
+        regular_log, singular_log = build(r, order)
+        regular = list(regular_log.coefficients)
+        regular[2] = BiPoly.constant(Fraction(1, 3))
+        return TruncSeries(regular), singular_log
+
+    monkeypatch.setattr(egf, "build_basis", wrong_half)
+    with pytest.raises(NonIntegerCoefficientError, match=r"coefficient of t\^2 for r=3"):
+        egf_coefficients(3, 3)
+
+
 def test_count_sequences_from_series():
     table = egf_coefficients(2, 4)
     assert [poly.evaluate(1, 0) for poly in table] == [1, 1, 1, 3, 9]
@@ -86,8 +104,8 @@ def test_count_sequences_from_series():
 
 def test_pure_singular_series_r3():
     # 3! times the t^3 coefficient of exp(B) counts the two 3-cycles of S_3
-    basis = build_basis(3, 3)
-    series = basis.singular_log.exp()
+    _, singular_log = build_basis(3, 3)
+    series = singular_log.exp()
     assert 6 * series.coefficient(3) == BiPoly.constant(2)
 
 
@@ -101,8 +119,8 @@ def test_specialization_to_geometric_series():
 
 def test_series_factorizes_over_the_two_classes():
     for r in range(2, 5):
-        basis = build_basis(r, 8)
-        product = basis.regular_log.scale(X).exp() * basis.singular_log.scale(Y).exp()
+        regular_log, singular_log = build_basis(r, 8)
+        product = regular_log.scale(X).exp() * singular_log.scale(Y).exp()
         assert egf_series(r, 8) == product
 
 
