@@ -31,8 +31,6 @@ from ._validate import is_int, require_int
 Exponents = tuple[int, int]
 CoeffLike = int | Fraction
 
-_UNIT_TERMS: dict[Exponents, int] = {(0, 0): 1}
-
 
 class NonExactDivisionError(ArithmeticError):
     """Polynomial division left a remainder where exactness was required."""
@@ -349,13 +347,21 @@ X = BiPoly._raw({(1, 0): 1})
 Y = BiPoly._raw({(0, 1): 1})
 
 
-def poly_sum(polys: Iterable[BiPoly]) -> BiPoly:
-    """Sum of polynomials, accumulated in place in one dict."""
+def poly_sum(parts: Iterable[tuple[CoeffLike, Exponents, BiPoly]]) -> BiPoly:
+    """Sum of factor * x^dx * y^dy * poly over the parts (factor, (dx, dy),
+    poly), accumulated in place in one dict.
+
+    Each factor is coerced like a coefficient (a bool counts as an int), a
+    zero factor is skipped, and sums that cancel are removed.  The result is
+    rational only if some poly is or some factor is not an int.
+    """
     out: dict[Exponents, CoeffLike] = {}
     rational = False
-    for poly in polys:
-        _accumulate(out, poly._terms, _UNIT_TERMS)
-        rational = rational or poly._rational
+    for factor, shift, poly in parts:
+        factor = _coerce_coefficient(factor)
+        if factor:
+            _accumulate(out, {shift: factor}, poly._terms)
+            rational = rational or poly._rational or type(factor) is not int
     return BiPoly._raw(out, rational)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._validate import require_band_parameter, require_int
+from ._validate import InputError, require_band_parameter, require_int
 from .algebra import ONE, X, Y, ZERO, BiPoly, poly_sum
 
 # Leibniz costs one product per permutation that avoids every zero entry.
@@ -115,7 +115,7 @@ def det_leibniz(matrix: BandMatrix) -> BiPoly:
     """
     n = matrix.n
     if n > LEIBNIZ_LIMIT:
-        raise ValueError(f"permutation expansion is limited to n <= {LEIBNIZ_LIMIT}, got {n}")
+        raise InputError(f"permutation expansion is limited to n <= {LEIBNIZ_LIMIT}, got {n}")
     entries = matrix.entries
     perms: list[tuple[int, ...]] = [()]
     for row in entries:
@@ -127,7 +127,7 @@ def det_leibniz(matrix: BandMatrix) -> BiPoly:
             term = ONE
             for i, j in enumerate(perm):
                 term = term * entries[i][j]
-            yield -term if _permutation_sign(perm) < 0 else term
+            yield _permutation_sign(perm), (0, 0), term
 
     return poly_sum(signed_products())
 

@@ -26,8 +26,8 @@ from collections import Counter
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from ._validate import is_int, require_band_parameter, require_int
-from .algebra import ONE, X, Y, ZERO, BiPoly
+from ._validate import InputError, is_int, require_band_parameter, require_int
+from .algebra import ONE, X, Y, BiPoly, poly_sum
 
 # Guard on n! enumeration; 10! = 3,628,800 keeps a full scan in the seconds.
 BRUTE_FORCE_LIMIT = 10
@@ -46,7 +46,7 @@ class CycleStats(NamedTuple):
 def _require_enumerable(n: int) -> None:
     require_int(n, 0, "n must be a nonnegative integer, got {!r}")
     if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute-force enumeration is limited to n <= {BRUTE_FORCE_LIMIT}, got {n}")
+        raise InputError(f"brute-force enumeration is limited to n <= {BRUTE_FORCE_LIMIT}, got {n}")
 
 
 def rising_factorial(n: int) -> BiPoly:
@@ -72,16 +72,18 @@ def band_continuants(r: int, n_max: int) -> list[BiPoly]:
 
         V(r, n) = x * sum_{i=1..r-1} (n-1)_{i-1} V(r, n-i)
                   + (y + n - r) (n-1)_{r-1} V(r, n-r)
+
+    Each row is one accumulation (``poly_sum``) of r + 1 weighted, shifted
+    earlier rows, with no intermediate polynomial.
     """
     require_band_parameter(r)
     require_int(n_max, 0, "n_max must be a nonnegative integer, got {!r}")
     table = [rising_factorial(n) for n in range(min(n_max, r - 1) + 1)]
     for n in range(r, n_max + 1):
-        head = ZERO
-        for i in range(1, r):
-            head = head + falling_factorial(n - 1, i - 1) * table[n - i]
-        tail = (Y + (n - r)) * falling_factorial(n - 1, r - 1) * table[n - r]
-        table.append(X * head + tail)
+        f = falling_factorial(n - 1, r - 1)
+        parts = [(falling_factorial(n - 1, i - 1), (1, 0), table[n - i]) for i in range(1, r)]
+        parts += [(f, (0, 1), table[n - r]), ((n - r) * f, (0, 0), table[n - r])]
+        table.append(poly_sum(parts))
     return table
 
 
@@ -109,7 +111,7 @@ def as_permutation(images: Sequence[int]) -> Permutation:
     """Validate one-line notation (a bijection on 1..n) and return a tuple."""
     perm = tuple(images)
     if not all(is_int(i, 1) for i in perm) or sorted(perm) != list(range(1, len(perm) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(perm)}: {images!r}")
+        raise InputError(f"not a permutation of 1..{len(perm)}: {images!r}")
     return perm
 
 

@@ -27,7 +27,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from ._validate import require_int
+from ._validate import InputError, require_int
 from .algebra import ONE, X, Y
 from .bandmatrix import (
     LEIBNIZ_LIMIT,
@@ -107,7 +107,7 @@ def run_verification(
     require_int(n_max, 0, "n_max must be a nonnegative integer, got {!r}")
     require_int(order, 1, "order must be an integer >= 1, got {!r}")
     if isinstance(subdiagonal_step, bool) or subdiagonal_step not in (1, -1):
-        raise ValueError(f"subdiagonal_step must be 1 or -1, got {subdiagonal_step!r}")
+        raise InputError(f"subdiagonal_step must be 1 or -1, got {subdiagonal_step!r}")
 
     def make_matrix(r: int, n: int) -> BandMatrix:
         matrix = _band_matrix_with_step(r, n, subdiagonal_step)

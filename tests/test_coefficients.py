@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleyband import (
+    BRUTE_FORCE_LIMIT,
+    LEIBNIZ_LIMIT,
     ONE,
     X,
     Y,
@@ -40,6 +42,7 @@ from cayleyband import (
     rising_factorial,
     run_verification,
 )
+from cayleyband._validate import InputError
 from cayleyband.algebra import poly_sum
 
 coefficients = st.one_of(
@@ -84,15 +87,39 @@ def test_exact_div_round_trip(p, q):
     assert quotient == p
 
 
+shifts = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
 @settings(deadline=None)
-@given(st.lists(polys, max_size=6))
-def test_poly_sum_matches_repeated_addition(items):
+@given(st.lists(st.tuples(coefficients, shifts, polys), max_size=6))
+def test_poly_sum_matches_weighted_shifted_addition(parts):
     total = ZERO
-    for item in items:
-        total = total + item
-    result = poly_sum(items)
+    for factor, (dx, dy), poly in parts:
+        total = total + factor * X**dx * Y**dy * poly
+    result = poly_sum(parts)
     assert_canonical(result)
     assert result == total
+
+
+def test_poly_sum_removes_parts_that_cancel():
+    half = Fraction(1, 2)
+    parts = [
+        (2, (1, 0), Y),
+        (-1, (0, 1), 2 * X),
+        (half, (0, 0), X + half),
+        (-half, (0, 0), X + half),
+        (0, (2, 2), X),
+    ]
+    assert poly_sum(parts) == ZERO
+    with pytest.raises(TypeError):
+        poly_sum([(0.5, (0, 0), X)])
+
+
+def test_recurrence_rows_are_canonical_ints():
+    for r in range(2, 6):
+        for poly in band_continuants(r, 40):
+            assert_canonical(poly)
+            assert all(type(c) is int for _, c in poly.sorted_terms())
 
 
 @settings(deadline=None)
@@ -227,3 +254,24 @@ def test_validation_messages_keep_their_wording():
         ode_residual(2, 0)
     with pytest.raises(ValueError, match=r"^r_max must be an integer >= 2, got 1$"):
         run_verification(r_max=1)
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: run_verification(subdiagonal_step=2), r"^subdiagonal_step must be 1 or -1, got 2$"),
+        (
+            lambda: cycle_distribution_bruteforce(2, BRUTE_FORCE_LIMIT + 1),
+            rf"^brute-force enumeration is limited to n <= {BRUTE_FORCE_LIMIT}, got {BRUTE_FORCE_LIMIT + 1}$",
+        ),
+        (
+            lambda: det_leibniz(band_matrix(2, LEIBNIZ_LIMIT + 1)),
+            rf"^permutation expansion is limited to n <= {LEIBNIZ_LIMIT}, got {LEIBNIZ_LIMIT + 1}$",
+        ),
+        (lambda: as_permutation([1, 1]), r"^not a permutation of 1\.\.2: \[1, 1\]$"),
+    ],
+    ids=["subdiagonal_step", "enumeration_limit", "leibniz_limit", "as_permutation"],
+)
+def test_input_checks_raise_input_error(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

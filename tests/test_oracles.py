@@ -1,0 +1,106 @@
+"""Two oracles for the recurrence past the enumeration limit, each computed
+here in plain ints and Fractions, with no recurrence, matrix or BiPoly.
+
+* The closed form.  The EGF factors as (1-t)^(-x) (1-t^r)^((x-y)/r), so
+
+      V(r, n)(x0, y0) = sum_k n!/((n-rk)! r^k k!) R_{n-rk}(x0) prod_{i<k} (y0 - x0 + ri)
+
+  with R_m(x) = x(x+1)...(x+m-1).  It is checked against the ``sequence``
+  command's output up to n = 80.
+* The class sum.  The conjugacy class of cycle type lambda has n!/z_lambda
+  elements, z_lambda = prod_k k^(m_k) m_k!, so summing x^(#parts not divisible
+  by r) y^(#parts divisible by r) n!/z_lambda over the partitions of n gives
+  the paper's joint distribution of r-regular and r-singular cycles over S_n
+  (Stanley, Enumerative Combinatorics I, Prop. 1.3.2).  It is checked term by
+  term for n <= 24, far past the n! scan.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import math
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from cayleyband import cli
+from cayleyband.continuants import band_continuants
+
+POINTS = [(1, 0), (0, 1), (Fraction(1, 2), Fraction(-2, 3)), (-3, 5)]
+# (r, n_max); in the last, r = n_max + 1 and every row is a rising factorial.
+SEQUENCES = [(r, 80) for r in range(2, 8)] + [(41, 40)]
+# Through BiPoly a non-integral point costs several times an integral one.
+N_MAX_RATIONAL = 40
+N_MAX_CLASS_SUM = 24
+
+
+def closed_form(r: int, n_max: int, x0, y0) -> list:
+    """V(r, n)(x0, y0) for n = 0..n_max."""
+    rising = [1]
+    for m in range(n_max):
+        rising.append(rising[-1] * (x0 + m))
+    singular = [1]
+    for i in range(n_max // r):
+        singular.append(singular[-1] * (y0 - x0 + r * i))
+    # n!/((n-rk)! r^k k!) = C(n, rk) (rk)!/(r^k k!) is an integer.
+    return [
+        sum(
+            math.factorial(n) // (math.factorial(n - r * k) * r**k * math.factorial(k)) * rising[n - r * k] * singular[k]
+            for k in range(n // r + 1)
+        )
+        for n in range(n_max + 1)
+    ]
+
+
+def sequence_stdout(r: int, n_max: int, x0, y0) -> list[str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["sequence", "--r", str(r), f"--x={x0}", f"--y={y0}", "--n-max", str(n_max)]) == 0
+    return out.getvalue().split()
+
+
+def test_closed_form_matches_known_counts():
+    # Permutations with only odd cycles (OEIS A000246) and with only even
+    # cycles (A001818 at even n).
+    assert closed_form(2, 8, 1, 0) == [1, 1, 1, 3, 9, 45, 225, 1575, 11025]
+    assert closed_form(2, 8, 0, 1) == [1, 0, 1, 0, 9, 0, 225, 0, 11025]
+
+
+@pytest.mark.parametrize(("r", "n_max"), SEQUENCES)
+def test_sequence_matches_the_closed_form(r, n_max):
+    for x0, y0 in POINTS:
+        n = n_max if type(x0) is int else min(n_max, N_MAX_RATIONAL)
+        expected = [str(value) for value in closed_form(r, n, x0, y0)]
+        assert sequence_stdout(r, n, x0, y0) == expected, (x0, y0)
+
+
+def partitions(n: int, largest: int):
+    """The partitions of n into parts of at most largest, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k, *rest)
+
+
+def class_sums(n: int) -> dict[int, Counter]:
+    """{r: {(regular, singular): count}} over S_n for r = 2..n+1, from one
+    walk of the partitions of n."""
+    sums = {r: Counter() for r in range(2, n + 2)}
+    for parts in partitions(n, n):
+        multiplicity = Counter(parts)
+        size = math.factorial(n) // math.prod(k**m * math.factorial(m) for k, m in multiplicity.items())
+        for r, tally in sums.items():
+            singular = sum(m for k, m in multiplicity.items() if k % r == 0)
+            tally[len(parts) - singular, singular] += size
+    return sums
+
+
+def test_recurrence_matches_the_class_sums():
+    tables = {r: band_continuants(r, N_MAX_CLASS_SUM) for r in range(2, N_MAX_CLASS_SUM + 2)}
+    for n in range(1, N_MAX_CLASS_SUM + 1):
+        for r, tally in class_sums(n).items():
+            assert dict(tables[r][n].sorted_terms()) == dict(tally), (r, n)
