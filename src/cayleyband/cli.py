@@ -146,8 +146,6 @@ def _parse_corrupt(parser: argparse.ArgumentParser, text: str) -> tuple[int, int
         r, n, i, j = (int(part) for part in parts)
     except ValueError:
         parser.error("--corrupt expects four integers")
-    if r < 2 or n < 0 or i < 1 or j < 1:
-        parser.error("--corrupt values out of range (need R>=2, N>=0, I>=1, J>=1)")
     return (r, n, i, j)
 
 

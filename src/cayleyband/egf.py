@@ -8,18 +8,19 @@ Splitting the logarithm of 1/(1-t) by residue of the cycle length mod r,
 the series exp(x*A + y*B) collects permutations by counted cycle type, so
 n! times its t^n coefficient is the same polynomial the matrix determinant
 and the recurrence produce.  The series satisfies a first-order linear ODE
-with polynomial coefficients; its residual is a third independent
-consistency check.  Nothing here enumerates permutations: the EGF is
-compared with the recurrence only, and verify compares both with the scan.
+with polynomial coefficients, an integer relation among its n!-scaled
+coefficients; its residual is a third independent consistency check.
+Nothing here enumerates permutations: the EGF is compared with the
+recurrence only, and verify compares both with the scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 from ._validate import require_band_parameter, require_int
-from .algebra import BiPoly, TruncSeries, X, Y
+from .algebra import ZERO, BiPoly, TruncSeries, X, Y, poly_sum
 from .continuants import band_continuants
 
 
@@ -85,17 +86,35 @@ def ode_residual(r: int, order: int) -> TruncSeries:
 
         (1-t)(1-t^r) V' = (x + (y-x) t^(r-1) - y t^r) V.
 
-    Both sides are multiplied out as truncated series and subtracted; the
-    result must vanish identically.  The check is independent of the
-    recurrence and of any determinant.
+    With E_k = k! [t^k] V (zero at a negative k) and (m)_k = m!/(m-k)!,
+    m! times the t^m coefficient of lhs - rhs is the integer polynomial
+
+        E_{m+1} - (m + x) E_m + ((x-y) (m)_{r-1} - (m)_r) E_{m+1-r}
+                + ((m)_{r+1} + y (m)_r) E_{m-r},
+
+    summed in one poly_sum and divided by m!; the result must vanish
+    identically.  The check is independent of the recurrence and of any
+    determinant.
     """
     require_band_parameter(r)
     require_int(order, 1, "residual needs order >= 1, got {!r}")
-    series = egf_series(r, order)
-    derivative = series.derivative()
-    lhs_mult = TruncSeries.from_terms(order - 1, {0: 1, 1: -1, r: -1, r + 1: 1})
-    rhs_mult = TruncSeries.from_terms(order - 1, {0: X, r - 1: Y - X, r: -Y})
-    return lhs_mult * derivative - rhs_mult * series
+    scaled = _scaled(egf_series(r, order))
+    residual = []
+    for m in range(order):
+        ahead = scaled[m + 1 - r] if m + 1 >= r else ZERO
+        behind = scaled[m - r] if m >= r else ZERO
+        coefficient = poly_sum((
+            (1, (0, 0), scaled[m + 1]),
+            (-m, (0, 0), scaled[m]),
+            (-1, (1, 0), scaled[m]),
+            (-perm(m, r), (0, 0), ahead),
+            (perm(m, r - 1), (1, 0), ahead),
+            (-perm(m, r - 1), (0, 1), ahead),
+            (perm(m, r + 1), (0, 0), behind),
+            (perm(m, r), (0, 1), behind),
+        ))
+        residual.append(coefficient * Fraction(1, factorial(m)))
+    return TruncSeries(residual)
 
 
 def factorization_check(r: int, order: int) -> bool:

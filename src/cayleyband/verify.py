@@ -33,6 +33,7 @@ from .bandmatrix import (
     LEIBNIZ_LIMIT,
     BandMatrix,
     _band_matrix_with_step,
+    band_matrix,
     det_bareiss,
     det_leibniz,
 )
@@ -108,12 +109,17 @@ def run_verification(
     require_int(order, 1, "order must be an integer >= 1, got {!r}")
     if isinstance(subdiagonal_step, bool) or subdiagonal_step not in (1, -1):
         raise InputError(f"subdiagonal_step must be 1 or -1, got {subdiagonal_step!r}")
+    if corrupt is not None:
+        if not (isinstance(corrupt, tuple) and len(corrupt) == 4):
+            raise InputError(f"corrupt must be a tuple (r, n, i, j) of four integers, got {corrupt!r}")
+        for name, value, minimum in zip("rnij", corrupt, (2, 0, 1, 1)):
+            require_int(value, minimum, f"corrupt {name} must be an integer >= {minimum}, got {{!r}}")
 
     def make_matrix(r: int, n: int) -> BandMatrix:
-        matrix = _band_matrix_with_step(r, n, subdiagonal_step)
+        matrix = band_matrix(r, n) if subdiagonal_step == 1 else _band_matrix_with_step(r, n, -1)
         if corrupt is not None:
             target_r, target_n, i, j = corrupt
-            if (r, n) == (target_r, target_n) and 1 <= i <= n and 1 <= j <= n:
+            if (r, n) == (target_r, target_n) and i <= n and j <= n:
                 matrix = _corrupted(matrix, i, j)
         return matrix
 

@@ -216,6 +216,13 @@ def test_out_of_range_input_reports_the_library_message(capsys):
     assert captured.err.endswith("error: band parameter r must be an integer >= 2, got 1\n")
 
 
+def test_corrupt_out_of_range_reports_the_library_message(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--corrupt", "1,2,3,4"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith("error: corrupt r must be an integer >= 2, got 1\n")
+
+
 def test_an_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
     # A regular log with constant term 1 breaks exp() inside the EGF route.
     # That ValueError is a fault in the computation, not in the command

@@ -129,6 +129,45 @@ def test_ode_residual_vanishes():
         assert ode_residual(r, 15).is_zero, f"r={r}"
 
 
+def product_form_residual(r, order):
+    """lhs * V' - rhs * V multiplied out as truncated series, the form
+    ode_residual's docstring starts from."""
+    series = egf_series(r, order)
+    lhs = TruncSeries.from_terms(order - 1, {0: 1, 1: -1, r: -1, r + 1: 1})
+    rhs = TruncSeries.from_terms(order - 1, {0: X, r - 1: Y - X, r: -Y})
+    return lhs * series.derivative() - rhs * series
+
+
+# r = 2..6 at orders 1, 2, r, r + 1 and 12, then r = order + 1.
+PRODUCT_FORM_CASES = sorted(
+    {(r, order) for r in range(2, 7) for order in (1, 2, r, r + 1, 12)} | {(7, 6), (13, 12)}
+)
+
+
+@pytest.mark.parametrize(("r", "order"), PRODUCT_FORM_CASES)
+def test_ode_residual_equals_the_product_form(r, order):
+    assert ode_residual(r, order) == product_form_residual(r, order)
+
+
+@pytest.mark.parametrize(("r", "order"), [(2, 2), (2, 3), (3, 4), (4, 12), (6, 7), (6, 12)])
+def test_a_wrong_basis_leaves_the_product_form_residual(monkeypatch, r, order):
+    # 1/7 added at t^r of the singular log: the series is no longer the
+    # EGF, and the integer relation must leave the same nonzero residual
+    # as the series products.
+    build = build_basis
+
+    def off_by_a_seventh(r, order):
+        regular_log, singular_log = build(r, order)
+        singular = list(singular_log.coefficients)
+        singular[r] = singular[r] + Fraction(1, 7)
+        return regular_log, TruncSeries(singular)
+
+    monkeypatch.setattr(egf, "build_basis", off_by_a_seventh)
+    residual = ode_residual(r, order)
+    assert not residual.is_zero
+    assert residual == product_form_residual(r, order)
+
+
 def test_ode_residual_low_order_edge():
     residual = ode_residual(2, 1)
     assert residual.order == 0

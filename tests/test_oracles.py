@@ -12,13 +12,15 @@ here in plain ints and Fractions, with no recurrence, matrix or BiPoly.
   by r) y^(#parts divisible by r) n!/z_lambda over the partitions of n gives
   the paper's joint distribution of r-regular and r-singular cycles over S_n
   (Stanley, Enumerative Combinatorics I, Prop. 1.3.2).  It is checked term by
-  term for n <= 24, far past the n! scan.
+  term for n <= 24, far past the n! scan, and class by class against the
+  cycle walk for n <= 8.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -26,7 +28,7 @@ from fractions import Fraction
 import pytest
 
 from cayleyband import cli
-from cayleyband.continuants import band_continuants
+from cayleyband.continuants import _cycle_lengths, band_continuants
 
 POINTS = [(1, 0), (0, 1), (Fraction(1, 2), Fraction(-2, 3)), (-3, 5)]
 # (r, n_max); in the last, r = n_max + 1 and every row is a rising factorial.
@@ -34,6 +36,7 @@ SEQUENCES = [(r, 80) for r in range(2, 8)] + [(41, 40)]
 # Through BiPoly a non-integral point costs several times an integral one.
 N_MAX_RATIONAL = 40
 N_MAX_CLASS_SUM = 24
+N_MAX_WALK = 8
 
 
 def closed_form(r: int, n_max: int, x0, y0) -> list:
@@ -86,13 +89,19 @@ def partitions(n: int, largest: int):
             yield (k, *rest)
 
 
+def class_size(parts: tuple[int, ...]) -> int:
+    """n!/z_lambda, the number of permutations of cycle type parts."""
+    multiplicity = Counter(parts)
+    return math.factorial(sum(parts)) // math.prod(k**m * math.factorial(m) for k, m in multiplicity.items())
+
+
 def class_sums(n: int) -> dict[int, Counter]:
     """{r: {(regular, singular): count}} over S_n for r = 2..n+1, from one
     walk of the partitions of n."""
     sums = {r: Counter() for r in range(2, n + 2)}
     for parts in partitions(n, n):
         multiplicity = Counter(parts)
-        size = math.factorial(n) // math.prod(k**m * math.factorial(m) for k, m in multiplicity.items())
+        size = class_size(parts)
         for r, tally in sums.items():
             singular = sum(m for k, m in multiplicity.items() if k % r == 0)
             tally[len(parts) - singular, singular] += size
@@ -104,3 +113,11 @@ def test_recurrence_matches_the_class_sums():
     for n in range(1, N_MAX_CLASS_SUM + 1):
         for r, tally in class_sums(n).items():
             assert dict(tables[r][n].sorted_terms()) == dict(tally), (r, n)
+
+
+def test_the_walk_meets_each_cycle_type_n_over_z_times():
+    # The scans only see the walk through the split of its cycle lengths by
+    # divisibility by r; this tally sees the lengths themselves.
+    for n in range(N_MAX_WALK + 1):
+        tally = Counter(tuple(sorted(_cycle_lengths(perm))) for perm in itertools.permutations(range(n)))
+        assert tally == {tuple(sorted(parts)): class_size(parts) for parts in partitions(n, n)}, n

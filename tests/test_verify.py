@@ -7,6 +7,7 @@ import math
 import pytest
 
 from cayleyband import continuants, egf, verify
+from cayleyband._validate import InputError
 from cayleyband.algebra import BiPoly, TruncSeries, X
 from cayleyband.verify import CheckResult, run_verification, render_report_text
 
@@ -50,6 +51,34 @@ def test_corrupt_base_case_fails_early_family():
 def test_corrupt_outside_sweep_is_inert():
     report = run_verification(r_max=3, n_max=4, order=8, corrupt=(2, 3, 9, 9))
     assert report.ok
+
+
+def test_canonical_matrices_come_from_the_public_builder(monkeypatch):
+    # four_way and base_cases read verify.band_matrix; the decreasing
+    # variant must not.
+    build = verify.band_matrix
+    built = []
+
+    def bumped(r, n):
+        built.append((r, n))
+        matrix = build(r, n)
+        return verify._corrupted(matrix, 1, 1) if (r, n) == (2, 4) else matrix
+
+    monkeypatch.setattr(verify, "band_matrix", bumped)
+    run_verification(r_max=3, n_max=5, order=8, subdiagonal_step=-1)
+    assert built == []
+    report = run_verification(r_max=3, n_max=5, order=8)
+    assert [(check.name, check.params) for check in report.checks if not check.ok] == [("four_way", "r=2 n=4")]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [[2, 4, 1, 1], (2, 4, 1), (2, 4, True, 1), (2, 4, 1.0, 1), (1, 4, 1, 1), (2, -1, 1, 1), (2, 4, 0, 1), (2, 4, 1, 0)],
+    ids=["list", "three-values", "bool", "float", "r<2", "n<0", "i<1", "j<1"],
+)
+def test_corrupt_is_validated(corrupt):
+    with pytest.raises(InputError):
+        run_verification(r_max=3, n_max=4, order=4, corrupt=corrupt)
 
 
 def test_decreasing_convention_fails_four_way():
