@@ -23,8 +23,6 @@ used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._validate import InputError, require_band_parameter, require_int
 from .algebra import ONE, X, Y, ZERO, BiPoly, poly_sum
 
@@ -43,25 +41,38 @@ class ZeroPivotError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
 class BandMatrix:
     """Immutable n x n matrix of polynomials with band parameter r."""
 
-    r: int
-    n: int
-    entries: tuple[tuple[BiPoly, ...], ...]
+    __slots__ = ("r", "n", "entries")
 
-    def __post_init__(self) -> None:
-        require_band_parameter(self.r)
-        require_int(self.n, 0, "matrix dimension n must be a nonnegative integer, got {!r}")
-        if len(self.entries) != self.n:
-            raise ValueError(f"matrix has {len(self.entries)} rows, expected n = {self.n}")
-        for i, row in enumerate(self.entries, start=1):
-            if len(row) != self.n:
-                raise ValueError(f"row {i} has {len(row)} entries, expected n = {self.n}")
+    def __init__(self, r: int, n: int, entries: tuple[tuple[BiPoly, ...], ...]) -> None:
+        require_band_parameter(r)
+        require_int(n, 0, "matrix dimension n must be a nonnegative integer, got {!r}")
+        if len(entries) != n:
+            raise ValueError(f"matrix has {len(entries)} rows, expected n = {n}")
+        for i, row in enumerate(entries, start=1):
+            if len(row) != n:
+                raise ValueError(f"row {i} has {len(row)} entries, expected n = {n}")
             for j, entry in enumerate(row, start=1):
                 if not isinstance(entry, BiPoly):
                     raise ValueError(f"entry ({i}, {j}) must be a BiPoly, got {entry!r}")
+        for name, value in zip(self.__slots__, (r, n, entries)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable BandMatrix")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable BandMatrix")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.n, self.entries) == (other.r, other.n, other.entries)
+
+    def __repr__(self) -> str:
+        return f"BandMatrix(r={self.r!r}, n={self.n!r}, entries={self.entries!r})"
 
 
 def band_matrix(r: int, n: int) -> BandMatrix:

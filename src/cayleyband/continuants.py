@@ -8,10 +8,11 @@ module computes the family by the recurrence and, independently, by exhaustive
 permutation enumeration; the two must agree, which is what the verification
 harness checks.
 
-There is one cycle walk.  The three enumeration functions share it and one
-tally of cycle-length sequences, each folding the tally differently: the
-distribution splits each sequence by r, and the two pure-class counts read
-that distribution at x=1, y=0 and at x=0, y=1.
+There is one cycle walk, a leader walk: each cycle is counted once, from its
+smallest point, so no point needs marking.  The three enumeration functions
+share it and one tally of cycle-length sequences, each folding the tally
+differently: the distribution splits each sequence by r, and the two
+pure-class counts read that distribution at x=1, y=0 and at x=0, y=1.
 
 A cycle of a permutation is r-regular when its length is not divisible by r
 and r-singular when it is.  Permutations are written in one-line notation,
@@ -115,23 +116,21 @@ def as_permutation(images: Sequence[int]) -> Permutation:
     return perm
 
 
-def _cycle_lengths(perm: Sequence[int]) -> list[int]:
+def _cycle_lengths(perm: Sequence[int]) -> tuple[int, ...]:
     # The one cycle walk.  perm holds 0-based images, as
-    # itertools.permutations(range(n)) yields them.  A cycle is walked from
-    # its smallest point, which the loop never comes back to, so only the
-    # other points need marking.
-    seen = bytearray(len(perm))
+    # itertools.permutations(range(n)) yields them.  From each start the walk
+    # follows images while they are larger than the start; it comes back to
+    # the start only when the start is its cycle's smallest point, so each
+    # cycle is counted once, in order of its smallest point.
     lengths = []
     for start, j in enumerate(perm):
-        if seen[start]:
-            continue
         length = 1
-        while j != start:
-            seen[j] = 1
+        while j > start:
             j = perm[j]
             length += 1
-        lengths.append(length)
-    return lengths
+        if j == start:
+            lengths.append(length)
+    return tuple(lengths)
 
 
 def _split(lengths: Sequence[int], r: int) -> CycleStats:
@@ -161,7 +160,7 @@ def cycle_distribution_bruteforce(r: int, n: int) -> BiPoly:
     _require_enumerable(n)
     # Tally the cycle-length sequences first: there are at most 2^(n-1) of
     # them, so splitting each by r afterwards costs next to nothing.
-    tally = Counter(map(tuple, map(_cycle_lengths, itertools.permutations(range(n)))))
+    tally = Counter(map(_cycle_lengths, itertools.permutations(range(n))))
     counts: Counter[CycleStats] = Counter()
     for lengths, count in tally.items():
         counts[_split(lengths, r)] += count

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._validate import InputError, require_int
 from .algebra import ONE, X, Y
@@ -47,8 +47,7 @@ from .continuants import (
 from .egf import egf_coefficients, factorization_check, ode_residual
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     params: str
     status: str  # "pass" or "fail"
@@ -59,9 +58,8 @@ class CheckResult:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+class VerifyReport(NamedTuple):
+    checks: tuple[CheckResult, ...] = ()
     elapsed_ms: float = 0.0
 
     @property

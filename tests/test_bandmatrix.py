@@ -238,6 +238,17 @@ def test_band_matrix_rejects_a_malformed_shape(r, n, entries, message):
         BandMatrix(r=r, n=n, entries=entries)
 
 
+def test_band_matrix_is_immutable_and_compares_by_value():
+    matrix = band_matrix(3, 4)
+    for name, value in (("r", 2), ("n", 5), ("entries", ())):
+        with pytest.raises(AttributeError):
+            setattr(matrix, name, value)
+    assert (matrix.r, matrix.n) == (3, 4)
+    assert matrix == BandMatrix(r=3, n=4, entries=matrix.entries)
+    assert matrix != band_matrix(2, 4)
+    assert matrix != (3, 4, matrix.entries)
+
+
 def test_decreasing_subdiagonal_is_a_different_family():
     increasing = det_bareiss(_band_matrix_with_step(3, 4, 1))
     decreasing = det_bareiss(_band_matrix_with_step(3, 4, -1))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -237,3 +239,15 @@ def test_an_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
     with pytest.raises(ValueError, match="^series exponential requires a zero constant term$"):
         main(["verify", "--r-max", "2", "--n-max", "3", "--order", "4"])
     assert capsys.readouterr().err == ""
+
+
+def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
+    # Each CLI process pays for what the package imports; the three result
+    # and matrix classes need neither module.
+    code = (
+        "import sys; before = set(sys.modules); import cayleyband.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

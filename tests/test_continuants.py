@@ -21,6 +21,7 @@ from cayleyband.continuants import (
     count_singular_permutations_bruteforce,
     cycle_distribution_bruteforce,
     cycle_stats,
+    _cycle_lengths,
     cycle_type,
     falling_factorial,
     rising_factorial,
@@ -150,6 +151,35 @@ def test_cycle_type():
     assert cycle_type([2, 1, 4, 3]) == (2, 2)
     assert cycle_type([2, 3, 4, 5, 1]) == (5,)
     assert cycle_type([]) == ()
+
+
+def marking_walk(perm):
+    """The reference walk: mark each point of a cycle as it is passed, and
+    start a cycle at every unmarked point."""
+    seen = bytearray(len(perm))
+    lengths = []
+    for start, j in enumerate(perm):
+        if seen[start]:
+            continue
+        length = 1
+        while j != start:
+            seen[j] = 1
+            j = perm[j]
+            length += 1
+        lengths.append(length)
+    return tuple(lengths)
+
+
+def test_the_walk_lists_cycles_in_order_of_their_smallest_point():
+    # The scan tallies the ordered sequence, so the order is part of the key.
+    for n in range(8):
+        for perm in itertools.permutations(range(n)):
+            assert _cycle_lengths(perm) == marking_walk(perm), perm
+    # The longest walks: the n-cycle i -> i-1 mod n and its inverse.
+    n = 10
+    for step in (-1, 1):
+        perm = tuple((i + step) % n for i in range(n))
+        assert _cycle_lengths(perm) == marking_walk(perm) == (n,)
 
 
 def test_cycle_stats():

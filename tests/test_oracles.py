@@ -14,6 +14,10 @@ here in plain ints and Fractions, with no recurrence, matrix or BiPoly.
   (Stanley, Enumerative Combinatorics I, Prop. 1.3.2).  It is checked term by
   term for n <= 24, far past the n! scan, and class by class against the
   cycle walk for n <= 8.
+
+The class sum also proves the paper's theorem for n <= 14: a plain-int
+Bareiss elimination of the band matrix, read entry by entry, equals it on a
+grid large enough to pin down a polynomial of the determinant's degrees.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from fractions import Fraction
 import pytest
 
 from cayleyband import cli
+from cayleyband.bandmatrix import band_matrix
 from cayleyband.continuants import _cycle_lengths, band_continuants
 
 POINTS = [(1, 0), (0, 1), (Fraction(1, 2), Fraction(-2, 3)), (-3, 5)]
@@ -37,6 +42,7 @@ SEQUENCES = [(r, 80) for r in range(2, 8)] + [(41, 40)]
 N_MAX_RATIONAL = 40
 N_MAX_CLASS_SUM = 24
 N_MAX_WALK = 8
+N_MAX_GRID = 14
 
 
 def closed_form(r: int, n_max: int, x0, y0) -> list:
@@ -121,3 +127,56 @@ def test_the_walk_meets_each_cycle_type_n_over_z_times():
     for n in range(N_MAX_WALK + 1):
         tally = Counter(tuple(sorted(_cycle_lengths(perm))) for perm in itertools.permutations(range(n)))
         assert tally == {tuple(sorted(parts)): class_size(parts) for parts in partitions(n, n)}, n
+
+
+def plain_value(terms, x0: int, y0: int) -> int:
+    """A polynomial given as ((i, j), c) terms, at (x0, y0) in plain ints."""
+    value = 0
+    for (i, j), c in terms:
+        assert type(c) is int, c
+        value += c * x0**i * y0**j
+    return value
+
+
+def plain_det(rows: list[list[int]]) -> int:
+    """Bareiss elimination in plain ints, swapping rows on a zero pivot."""
+    rows = [row[:] for row in rows]
+    n, sign, previous = len(rows), 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            nonzero = [i for i in range(k + 1, n) if rows[i][k]]
+            if not nonzero:
+                return 0
+            i = nonzero[0]
+            rows[k], rows[i], sign = rows[i], rows[k], -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1 :]:
+            lower = row[k]
+            for j in range(k + 1, n):
+                row[j], remainder = divmod(pivot * row[j] - lower * pivot_row[j], previous)
+                assert remainder == 0
+        previous = pivot
+    return sign * rows[-1][-1] if n else 1
+
+
+def test_the_determinant_is_the_cycle_distribution_on_a_grid():
+    # The paper's theorem for every n <= N_MAX_GRID and r = 2..n+1, with no
+    # package arithmetic past building the matrix.  The determinant has
+    # degree <= n in x and <= n // r in y: a permutation that uses k entries
+    # of the y subdiagonal uses at least k(r-1) superdiagonal entries, so
+    # kr <= n.  The class sum and the recurrence obey the same bounds
+    # (asserted below), so agreement on the (n+1) x (n//r+1) grid proves the
+    # polynomials equal (Alon, Combinatorial Nullstellensatz, Lemma 2.1).
+    tables = {r: band_continuants(r, N_MAX_GRID) for r in range(2, N_MAX_GRID + 2)}
+    for n in range(N_MAX_GRID + 1):
+        for r, tally in class_sums(n).items():
+            entries = [[entry.sorted_terms() for entry in row] for row in band_matrix(r, n).entries]
+            recurrence = tables[r][n].sorted_terms()
+            for (i, j), _ in [*tally.items(), *recurrence]:
+                assert i + j <= n and j <= n // r, (r, n, i, j)
+            for x0 in range(n + 1):
+                for y0 in range(n // r + 1):
+                    determinant = plain_det([[plain_value(e, x0, y0) for e in row] for row in entries])
+                    assert determinant == plain_value(tally.items(), x0, y0), (r, n, x0, y0)
+                    assert determinant == plain_value(recurrence, x0, y0), (r, n, x0, y0)

@@ -9,7 +9,7 @@ import pytest
 from cayleyband import continuants, egf, verify
 from cayleyband._validate import InputError
 from cayleyband.algebra import BiPoly, TruncSeries, X
-from cayleyband.verify import CheckResult, run_verification, render_report_text
+from cayleyband.verify import CheckResult, VerifyReport, run_verification, render_report_text
 
 CHECK_NAMES = [
     "base_cases",
@@ -336,3 +336,14 @@ def test_parameter_validation():
 def test_check_result_ok_property():
     assert CheckResult("x", "p", "pass").ok
     assert not CheckResult("x", "p", "fail", "boom").ok
+
+
+def test_results_are_immutable_with_defaults():
+    check = CheckResult(name="x", params="p", status="pass")
+    assert check.detail == ""
+    report = VerifyReport(checks=(check,))
+    assert report.elapsed_ms == 0.0
+    assert VerifyReport().ok and VerifyReport().checks == ()
+    for result, name in ((check, "status"), (report, "checks"), (report, "elapsed_ms")):
+        with pytest.raises(AttributeError):
+            setattr(result, name, None)
