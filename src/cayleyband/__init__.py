@@ -31,6 +31,7 @@ from .continuants import (
     band_continuant,
     band_continuants,
     cayley_continuant,
+    continuant_rows,
     count_regular_permutations,
     count_regular_permutations_bruteforce,
     count_singular_permutations,
@@ -81,6 +82,7 @@ __all__ = [
     "band_matrix",
     "build_basis",
     "cayley_continuant",
+    "continuant_rows",
     "count_regular_permutations",
     "count_regular_permutations_bruteforce",
     "count_singular_permutations",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from ._validate import InputError
 from .algebra import BiPoly
 from .bandmatrix import band_matrix, render_matrix
-from .continuants import band_continuants
+from .continuants import continuant_rows
 from .verify import render_report_text, run_verification
 
 
@@ -111,16 +111,16 @@ def _library_call(parser: argparse.ArgumentParser, function, *args, **kwargs):
 
 
 def _run_table(args, parser) -> int:
-    polynomials = _library_call(parser, band_continuants, args.r, args.n_max)
+    rows = _library_call(parser, continuant_rows, args.r, args.n_max)
     if args.format == "json":
-        # One row at a time, so no list of every row's dicts or text is held.
+        # Row by row, so no list of the rows, their dicts or their text is held.
         write = sys.stdout.write
-        for n, poly in enumerate(polynomials):
+        for n, poly in enumerate(rows):
             write("," if n else "[")
             write(polynomial_json(args.r, n, poly))
         write("]\n")
     else:
-        for poly in polynomials:
+        for poly in rows:
             print(poly)
     return 0
 
@@ -133,7 +133,7 @@ def _run_matrix(args, parser) -> int:
 
 
 def _run_sequence(args, parser) -> int:
-    for poly in _library_call(parser, band_continuants, args.r, args.n_max):
+    for poly in _library_call(parser, continuant_rows, args.r, args.n_max):
         print(poly.evaluate(args.x, args.y))
     return 0
 

@@ -8,6 +8,10 @@ module computes the family by the recurrence and, independently, by exhaustive
 permutation enumeration; the two must agree, which is what the verification
 harness checks.
 
+The recurrence has one body, ``continuant_rows``, which streams the rows and
+holds only the last r of them; the ``table`` and ``sequence`` commands read
+it directly, and ``band_continuants`` is the same rows as a list.
+
 There is one cycle walk, a leader walk: each cycle is counted once, from its
 smallest point, so no point needs marking.  The three enumeration functions
 share it and one tally of cycle-length sequences, each folding the tally
@@ -23,8 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from collections.abc import Sequence
+from collections import Counter, deque
+from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
 from ._validate import InputError, is_int, require_band_parameter, require_int
@@ -66,9 +70,10 @@ def falling_factorial(m: int, k: int) -> int:
     return math.prod(range(m, m - k, -1))
 
 
-def band_continuants(r: int, n_max: int) -> list[BiPoly]:
-    """The polynomials V(r, 0) .. V(r, n_max), computed bottom-up.
+def continuant_rows(r: int, n_max: int) -> Iterator[BiPoly]:
+    """Yield V(r, 0) .. V(r, n_max) in order, holding only the last r rows.
 
+    The arguments are checked when this is called, before the first row.
     For n < r the value is the rising factorial x^(n).  From n = r on:
 
         V(r, n) = x * sum_{i=1..r-1} (n-1)_{i-1} V(r, n-i)
@@ -79,18 +84,30 @@ def band_continuants(r: int, n_max: int) -> list[BiPoly]:
     """
     require_band_parameter(r)
     require_int(n_max, 0, "n_max must be a nonnegative integer, got {!r}")
-    table = [rising_factorial(n) for n in range(min(n_max, r - 1) + 1)]
+    return _rows(r, n_max)
+
+
+def _rows(r: int, n_max: int) -> Iterator[BiPoly]:
+    rows: deque[BiPoly] = deque(maxlen=r)  # V(r, n-r) .. V(r, n-1)
+    for n in range(min(n_max, r - 1) + 1):
+        rows.append(rising_factorial(n))
+        yield rows[-1]
     for n in range(r, n_max + 1):
         f = falling_factorial(n - 1, r - 1)
-        parts = [(falling_factorial(n - 1, i - 1), (1, 0), table[n - i]) for i in range(1, r)]
-        parts += [(f, (0, 1), table[n - r]), ((n - r) * f, (0, 0), table[n - r])]
-        table.append(poly_sum(parts))
-    return table
+        parts = [(falling_factorial(n - 1, i - 1), (1, 0), rows[-i]) for i in range(1, r)]
+        parts += [(f, (0, 1), rows[0]), ((n - r) * f, (0, 0), rows[0])]
+        rows.append(poly_sum(parts))
+        yield rows[-1]
+
+
+def band_continuants(r: int, n_max: int) -> list[BiPoly]:
+    """The polynomials V(r, 0) .. V(r, n_max) as one list."""
+    return list(continuant_rows(r, n_max))
 
 
 def band_continuant(r: int, n: int) -> BiPoly:
     """V(r, n) by the r-term recurrence."""
-    return band_continuants(r, n)[n]
+    return deque(continuant_rows(r, n), maxlen=1)[0]
 
 
 def cayley_continuant(n: int) -> BiPoly:

@@ -201,6 +201,8 @@ def test_hidden_flags_stay_out_of_help(capsys):
         [],
         ["sequence", "--r", "2", "--n-max", "-1"],
         ["verify", "--n-max", "-1"],
+        ["sequence", "--r", "1"],
+        ["table", "--r", "3", "--n-max", "-1"],
     ],
 )
 def test_malformed_invocations_exit_2(capsys, argv):
@@ -210,12 +212,20 @@ def test_malformed_invocations_exit_2(capsys, argv):
 
 
 def test_out_of_range_input_reports_the_library_message(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["matrix", "--r", "1", "--n", "3"])
-    assert excinfo.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith("error: band parameter r must be an integer >= 2, got 1\n")
+    # table and sequence stream their rows, yet still fail before the first.
+    r_message = "band parameter r must be an integer >= 2, got 1"
+    for argv, message in (
+        (["matrix", "--r", "1", "--n", "3"], r_message),
+        (["table", "--r", "1"], r_message),
+        (["sequence", "--r", "1"], r_message),
+        (["table", "--r", "3", "--n-max", "-1"], "n_max must be a nonnegative integer, got -1"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
 
 
 def test_corrupt_out_of_range_reports_the_library_message(capsys):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
+from cayleyband._validate import InputError
 from cayleyband.algebra import ONE, X, Y, BiPoly
 from cayleyband.continuants import (
     BRUTE_FORCE_LIMIT,
@@ -15,6 +17,7 @@ from cayleyband.continuants import (
     band_continuant,
     band_continuants,
     cayley_continuant,
+    continuant_rows,
     count_regular_permutations,
     count_regular_permutations_bruteforce,
     count_singular_permutations,
@@ -79,6 +82,39 @@ def test_single_value_matches_table():
         table = band_continuants(r, 7)
         for n in range(8):
             assert band_continuant(r, n) == table[n]
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_the_row_stream_is_the_table(r):
+    for n_max in sorted({0, 1, r - 1, r, 40}):
+        assert list(continuant_rows(r, n_max)) == band_continuants(r, n_max)
+
+
+@pytest.mark.parametrize("args", [(1, 3), (3, -1), (True, 3), (2.0, 3), (3, True), (3, 2.0)])
+def test_the_row_stream_checks_its_arguments_when_called(args):
+    # The check runs before any row is asked for, so a command that streams
+    # the rows fails before it prints one.
+    with pytest.raises(InputError):
+        continuant_rows(*args)
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_row_stream_holds_only_the_last_rows():
+    def drain():
+        for _ in continuant_rows(3, 60):
+            pass
+
+    streamed = _peak_bytes(drain)
+    listed = _peak_bytes(lambda: band_continuants(3, 60))
+    assert streamed < listed / 2, (streamed, listed)
 
 
 def test_band_parameter_validation():

@@ -3,16 +3,17 @@ arithmetic, so a fault in one route cannot hide in another.
 
 Each route entry runs once under ``sys.setprofile``, and the package
 functions it enters are recorded by module and ``co_name`` (``co_qualname``
-needs Python 3.11).  ``algebra`` and ``_validate`` are left out: every route
-shares the exact arithmetic and the argument check on purpose.
+needs Python 3.11), named generator functions included; only comprehensions
+are skipped.  ``algebra`` and ``_validate`` are left out: every route shares
+the exact arithmetic and the argument check on purpose.
 """
 
 from __future__ import annotations
 
 import sys
-from inspect import CO_GENERATOR
 from itertools import combinations
 
+from cayleyband import cli
 from cayleyband.bandmatrix import band_matrix, det_bareiss, det_leibniz
 from cayleyband.continuants import band_continuants, cycle_distribution_bruteforce
 from cayleyband.egf import egf_coefficients, factorization_check, ode_residual
@@ -23,11 +24,17 @@ COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 ROUTES = {
     "recurrence": {
         ("continuants", "band_continuants"),
+        ("continuants", "continuant_rows"),
+        ("continuants", "_rows"),
         ("continuants", "rising_factorial"),
         ("continuants", "falling_factorial"),
     },
     "bareiss": {("bandmatrix", "det_bareiss")},
-    "leibniz": {("bandmatrix", "det_leibniz"), ("bandmatrix", "_permutation_sign")},
+    "leibniz": {
+        ("bandmatrix", "det_leibniz"),
+        ("bandmatrix", "signed_products"),
+        ("bandmatrix", "_permutation_sign"),
+    },
     "enumeration": {
         ("continuants", "cycle_distribution_bruteforce"),
         ("continuants", "_require_enumerable"),
@@ -65,7 +72,6 @@ def functions_run(call) -> set[tuple[str, str]]:
             and module.startswith("cayleyband.")
             and module not in SHARED_MODULES
             and code.co_name not in COMPREHENSIONS
-            and not code.co_flags & CO_GENERATOR
         ):
             seen.add((module[len("cayleyband.") :], code.co_name))
 
@@ -102,3 +108,24 @@ def test_checks_share_only_the_routes_they_name():
         seen = functions_run(call)
         shared = {route for route, functions in ROUTES.items() if functions & seen}
         assert shared == set(NAMED_SHARING[name]), name
+
+
+def test_the_cli_streams_the_recurrence_and_nothing_else(capsys):
+    # table and sequence read the rows straight from continuant_rows: besides
+    # their own argument handling and output they run the recurrence's
+    # functions, minus the list wrapper, and no second recurrence.
+    streamed = ROUTES["recurrence"] - {("continuants", "band_continuants")}
+    front = {("cli", "main"), ("cli", "build_parser"), ("cli", "_library_call")}
+    commands = {
+        ("sequence", "--r", "3", "--x", "1/2", "--y", "-2", "--n-max", "7"): {
+            ("cli", "_rational"),
+            ("cli", "_run_sequence"),
+        },
+        ("table", "--r", "3", "--n-max", "7", "--format", "json"): {
+            ("cli", "_run_table"),
+            ("cli", "polynomial_json"),
+        },
+    }
+    for argv, own in commands.items():
+        assert functions_run(lambda: cli.main(list(argv))) == front | own | streamed, argv
+    assert capsys.readouterr().err == ""
