@@ -23,7 +23,7 @@ x-exponent.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 
 from ._validate import is_int, require_int
@@ -119,18 +119,15 @@ class BiPoly:
     # read it to skip the demotion scan on all-integer operands.
     __slots__ = ("_terms", "_rational")
 
-    def __init__(self, terms: Mapping[Exponents, CoeffLike] | Iterable[tuple[Exponents, CoeffLike]] = ()) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Mapping[Exponents, CoeffLike] | None = None) -> None:
         canonical: dict[Exponents, CoeffLike] = {}
-        for exponents, coefficient in items:
+        for exponents, coefficient in (terms or {}).items():
             dx, dy = exponents
             if not (is_int(dx, 0) and is_int(dy, 0)):
                 raise ValueError(f"exponents must be nonnegative integers, got {exponents!r}")
-            value = canonical.get((dx, dy), 0) + _coerce_coefficient(coefficient)
+            value = _coerce_coefficient(coefficient)
             if value:
                 canonical[(dx, dy)] = value
-            else:
-                canonical.pop((dx, dy), None)
         self._terms = canonical
         self._rational = _demote(canonical)
 

@@ -36,7 +36,7 @@ class ZeroPivotError(RuntimeError):
     """A diagonal pivot vanished during elimination.
 
     The canonical band matrices cannot trigger this (their leading principal
-    minors are nonzero polynomials), so it indicates a corrupted matrix or an
+    minors are nonzero polynomials), so it indicates a faulty matrix or an
     implementation bug.
     """
 

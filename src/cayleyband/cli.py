@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -20,6 +21,9 @@ from .algebra import BiPoly
 from .bandmatrix import band_matrix, render_matrix
 from .continuants import continuant_rows
 from .verify import render_report_text, run_verification
+
+_MAX_EXPONENT = 4300  # as CPython's default limit on the digits of an int read from text
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*$")
 
 
 def canonical_json(payload) -> str:
@@ -46,6 +50,11 @@ def polynomial_json(r: int, n: int, poly: BiPoly) -> str:
 
 
 def _rational(text: str) -> Fraction:
+    # Fraction scales a decimal by 10**exponent, which for an exponent in the
+    # billions never returns, so a large exponent is refused first.
+    exponent = _EXPONENT.search(text)
+    if exponent and (len(exponent[1]) > _MAX_EXPONENT or int(exponent[1]) > _MAX_EXPONENT):
+        raise argparse.ArgumentTypeError(f"exponent of {text!r} exceeds {_MAX_EXPONENT} in absolute value")
     # argparse only treats ValueError/TypeError as usage errors, so the
     # ZeroDivisionError from inputs like "1/0" needs translating.
     try:
@@ -90,11 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-max", type=int, default=9, help="largest dimension (default 9)")
     verify.add_argument("--order", type=int, default=30, help="series order for the ODE residual")
     verify.add_argument("--format", choices=("text", "json"), default="text")
-    # Fault-injection hooks for the test suite; deliberately undocumented.
-    verify.add_argument("--corrupt", type=str, default=None, help=argparse.SUPPRESS)
-    verify.add_argument(
-        "--subdiagonal-step", type=int, choices=(1, -1), default=1, help=argparse.SUPPRESS
-    )
     verify.set_defaults(handler=_run_verify)
 
     return parser
@@ -138,28 +142,8 @@ def _run_sequence(args, parser) -> int:
     return 0
 
 
-def _parse_corrupt(parser: argparse.ArgumentParser, text: str) -> tuple[int, int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        parser.error("--corrupt expects R,N,I,J")
-    try:
-        r, n, i, j = (int(part) for part in parts)
-    except ValueError:
-        parser.error("--corrupt expects four integers")
-    return (r, n, i, j)
-
-
 def _run_verify(args, parser) -> int:
-    corrupt = _parse_corrupt(parser, args.corrupt) if args.corrupt is not None else None
-    report = _library_call(
-        parser,
-        run_verification,
-        r_max=args.r_max,
-        n_max=args.n_max,
-        order=args.order,
-        corrupt=corrupt,
-        subdiagonal_step=args.subdiagonal_step,
-    )
+    report = _library_call(parser, run_verification, args.r_max, args.n_max, args.order)
     if args.format == "json":
         print(canonical_json(report.to_dict()))
     else:
@@ -170,4 +154,13 @@ def _run_verify(args, parser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args, parser)
+    # CPython caps int -> str at 4300 digits to guard the parsing of text, so
+    # the cap is lifted only while the handler prints, then restored.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return args.handler(args, parser)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.handler(args, parser)
+    finally:
+        sys.set_int_max_str_digits(limit)

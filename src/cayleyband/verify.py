@@ -12,12 +12,6 @@ across all of them is strong evidence that each one is right.
 ``run_verification`` scans each (r, n) up to the enumeration limit once and
 shares the scans across checks, as it shares the recurrence tables;
 comparing a route with the enumeration is the harness's job alone.
-
-``run_verification`` also carries two undocumented fault-injection knobs
-used by the test suite: ``corrupt`` bumps one matrix entry by 1, and
-``subdiagonal_step=-1`` builds every matrix with the decreasing variant of
-the y-subdiagonal.  Both must make the determinant checks fail; if they do
-not, the checks themselves are broken.
 """
 
 from __future__ import annotations
@@ -27,16 +21,9 @@ import time
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from ._validate import InputError, require_int
-from .algebra import ONE, X, Y
-from .bandmatrix import (
-    LEIBNIZ_LIMIT,
-    BandMatrix,
-    _band_matrix_with_step,
-    band_matrix,
-    det_bareiss,
-    det_leibniz,
-)
+from ._validate import require_int
+from .algebra import X, Y
+from .bandmatrix import LEIBNIZ_LIMIT, band_matrix, det_bareiss, det_leibniz
 from .continuants import (
     BRUTE_FORCE_LIMIT,
     band_continuants,
@@ -82,45 +69,18 @@ class VerifyReport(NamedTuple):
         }
 
 
-def _corrupted(matrix: BandMatrix, i: int, j: int) -> BandMatrix:
-    rows = [list(row) for row in matrix.entries]
-    rows[i - 1][j - 1] = rows[i - 1][j - 1] + ONE
-    return BandMatrix(r=matrix.r, n=matrix.n, entries=tuple(tuple(row) for row in rows))
-
-
-def run_verification(
-    r_max: int = 5,
-    n_max: int = 9,
-    order: int = 30,
-    corrupt: tuple[int, int, int, int] | None = None,
-    subdiagonal_step: int = 1,
-) -> VerifyReport:
+def run_verification(r_max: int = 5, n_max: int = 9, order: int = 30) -> VerifyReport:
     """Run every check family and collect the results.
 
     r_max bounds the band parameter sweep (inclusive, from 2), n_max the
     matrix dimension sweep, and order the series truncation used for the
-    ODE residual.  corrupt=(r, n, i, j) adds 1 to the (i, j) entry of the
-    matrix built for that single parameter point, 1-indexed.
+    ODE residual.  Every matrix is built through the module name
+    ``band_matrix``, so a test injects a matrix fault by substituting that
+    name, as it does for the names the other routes read.
     """
     require_int(r_max, 2, "r_max must be an integer >= 2, got {!r}")
     require_int(n_max, 0, "n_max must be a nonnegative integer, got {!r}")
     require_int(order, 1, "order must be an integer >= 1, got {!r}")
-    if isinstance(subdiagonal_step, bool) or subdiagonal_step not in (1, -1):
-        raise InputError(f"subdiagonal_step must be 1 or -1, got {subdiagonal_step!r}")
-    if corrupt is not None:
-        if not (isinstance(corrupt, tuple) and len(corrupt) == 4):
-            raise InputError(f"corrupt must be a tuple (r, n, i, j) of four integers, got {corrupt!r}")
-        for name, value, minimum in zip("rnij", corrupt, (2, 0, 1, 1)):
-            require_int(value, minimum, f"corrupt {name} must be an integer >= {minimum}, got {{!r}}")
-
-    def make_matrix(r: int, n: int) -> BandMatrix:
-        matrix = band_matrix(r, n) if subdiagonal_step == 1 else _band_matrix_with_step(r, n, -1)
-        if corrupt is not None:
-            target_r, target_n, i, j = corrupt
-            if (r, n) == (target_r, target_n) and i <= n and j <= n:
-                matrix = _corrupted(matrix, i, j)
-        return matrix
-
     started = time.perf_counter()
     rs, ns = range(2, r_max + 1), range(n_max + 1)
     tables = {r: band_continuants(r, n_max) for r in rs}
@@ -128,8 +88,8 @@ def run_verification(
     r_span, n_span = f"r={rs[0]}..{rs[-1]}", f"n={ns[0]}..{ns[-1]}"
     span = f"{r_span} {n_span}"
     checks = (
-        _sweep("base_cases", f"{r_span} n<r", _check_base_cases(rs, ns, tables, make_matrix)),
-        _sweep("four_way", span, _check_four_way(rs, ns, tables, scans, make_matrix)),
+        _sweep("base_cases", f"{r_span} n<r", _check_base_cases(rs, ns, tables)),
+        _sweep("four_way", span, _check_four_way(rs, ns, tables, scans)),
         _sweep("factorial_specialization", f"{span} at x=1 y=1", _check_factorial(rs, ns, tables)),
         _sweep("stirling_specialization", f"{span} at y=x", _check_stirling(rs, ns, tables)),
         _sweep("cayley_sign_relation", n_span, _check_cayley_sign(ns, tables)),
@@ -147,25 +107,25 @@ def _sweep(name: str, params: str, failures: Iterator[tuple[str, str]]) -> Check
     return CheckResult(name, params, "pass")
 
 
-def _check_base_cases(rs, ns, tables, make_matrix) -> Iterator[tuple[str, str]]:
+def _check_base_cases(rs, ns, tables) -> Iterator[tuple[str, str]]:
     """Below the bandwidth the polynomial must be the rising factorial."""
     for r in rs:
         for n in ns[:r]:
             expected = rising_factorial(n)
             if tables[r][n] != expected:
                 yield f"r={r} n={n}", f"recurrence gives {tables[r][n]}, rising factorial is {expected}"
-            determinant = det_bareiss(make_matrix(r, n))
+            determinant = det_bareiss(band_matrix(r, n))
             if determinant != expected:
                 yield f"r={r} n={n}", f"determinant gives {determinant}, rising factorial is {expected}"
 
 
-def _check_four_way(rs, ns, tables, scans, make_matrix) -> Iterator[tuple[str, str]]:
+def _check_four_way(rs, ns, tables, scans) -> Iterator[tuple[str, str]]:
     """All four computation routes must produce the same polynomial."""
     for r in rs:
         egf_table = egf_coefficients(r, ns[-1])
         for n in ns:
             expected = tables[r][n]
-            matrix = make_matrix(r, n)
+            matrix = band_matrix(r, n)
             candidates = [
                 ("bareiss determinant", det_bareiss(matrix)),
                 ("egf coefficient", egf_table[n]),

@@ -14,6 +14,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from cayleyband.algebra import BiPoly, X, Y
 from cayleyband.bandmatrix import (
@@ -169,6 +170,19 @@ def _cli(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
+def _faulty_cli(point: tuple[int, int, int, int], *argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process whose verify.band_matrix bumps one entry
+    (see faults.bumped_entry), so the exit code is the process's own."""
+    script = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+        "from faults import bumped_entry; from cayleyband import cli, verify; "
+        f"verify.band_matrix = bumped_entry(*{point!r}); sys.exit(cli.main({list(argv)!r}))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+
+
 def test_criterion_8_cli_contract():
     started = time.perf_counter()
 
@@ -176,24 +190,20 @@ def test_criterion_8_cli_contract():
     assert clean.returncode == 0, clean.stdout + clean.stderr
     assert "verification PASS" in clean.stdout
 
-    corrupt = _cli(
-        "verify", "--r-max", "3", "--n-max", "5", "--order", "8", "--corrupt", "2,4,1,1"
-    )
+    corrupt = _faulty_cli((2, 4, 1, 1), "verify", "--r-max", "3", "--n-max", "5", "--order", "8")
     assert corrupt.returncode == 1
     assert "four_way" in corrupt.stdout
     assert "r=2 n=4" in corrupt.stdout
 
     # a different entry (the superdiagonal) must be caught just the same
-    corrupt2 = _cli(
-        "verify", "--r-max", "3", "--n-max", "5", "--order", "8", "--corrupt", "3,4,3,4"
-    )
+    corrupt2 = _faulty_cli((3, 4, 3, 4), "verify", "--r-max", "3", "--n-max", "5", "--order", "8")
     assert corrupt2.returncode == 1
     assert "four_way" in corrupt2.stdout
     assert "r=3 n=4" in corrupt2.stdout
 
     for argv in (
         ("table", "--r", "1"),
-        ("verify", "--corrupt", "1,2"),
+        ("verify", "--n-max", "-1"),
         ("sequence", "--r", "2", "--x", "oops"),
     ):
         usage = _cli(*argv)

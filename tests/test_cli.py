@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+from faults import bumped_entry, decreasing_subdiagonal
 
-from cayleyband import egf
+from cayleyband import egf, verify
 from cayleyband.algebra import BiPoly, TruncSeries
 from cayleyband.cli import canonical_json, main, polynomial_json
 from cayleyband.continuants import band_continuant, band_continuants, cayley_continuant
@@ -151,34 +154,28 @@ def test_verify_degenerate_sweep(capsys):
     assert "verification PASS" in out
 
 
-def test_verify_corrupt_hook(capsys):
-    code, out = run_cli(
-        capsys, "verify", "--r-max", "3", "--n-max", "5", "--order", "8",
-        "--corrupt", "2,4,1,1",
-    )
+def test_verify_corrupt_hook(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "band_matrix", bumped_entry(2, 4, 1, 1))
+    code, out = run_cli(capsys, "verify", "--r-max", "3", "--n-max", "5", "--order", "8")
     assert code == 1
     assert "four_way" in out
     assert "r=2 n=4" in out
 
 
-def test_verify_convention_hook(capsys):
-    code, out = run_cli(
-        capsys, "verify", "--r-max", "3", "--n-max", "5", "--order", "8",
-        "--subdiagonal-step", "-1",
-    )
+def test_verify_convention_hook(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "band_matrix", decreasing_subdiagonal)
+    code, out = run_cli(capsys, "verify", "--r-max", "3", "--n-max", "5", "--order", "8")
     assert code == 1
     assert "four_way" in out
     assert "r=2 n=3" in out
 
 
-def test_hidden_flags_stay_out_of_help(capsys):
+def test_verify_help_lists_exactly_its_options(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--help"])
     assert excinfo.value.code == 0
-    out = capsys.readouterr().out
-    assert "--corrupt" not in out
-    assert "--subdiagonal-step" not in out
-    assert "--order" in out
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert options == {"--help", "--r-max", "--n-max", "--order", "--format"}
 
 
 @pytest.mark.parametrize(
@@ -193,6 +190,7 @@ def test_hidden_flags_stay_out_of_help(capsys):
         ["sequence", "--r", "2", "--x", "1/0"],
         ["verify", "--r-max", "0"],
         ["verify", "--order", "0"],
+        # verify takes no fault-injection flags
         ["verify", "--corrupt", "1,2,3"],
         ["verify", "--corrupt", "a,b,c,d"],
         ["verify", "--corrupt", "1,2,3,4"],
@@ -228,11 +226,79 @@ def test_out_of_range_input_reports_the_library_message(capsys):
         assert captured.err.endswith(f"error: {message}\n")
 
 
-def test_corrupt_out_of_range_reports_the_library_message(capsys):
+def test_integers_past_4300_digits_are_printed(capsys):
+    # CPython's int -> str cap guards argument parsing only: main lifts it
+    # while the handler prints and restores it afterwards.
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "sequence", "--r", "2", "--x", "1e100", "--y", "0", "--n-max", "50")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 51
+    assert max(map(len, lines)) == 5001
+    assert sys.get_int_max_str_digits() == limit
     with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--corrupt", "1,2,3,4"])
+        main(["sequence", "--r", "2", "--x", "1" * 4301])
     assert excinfo.value.code == 2
-    assert capsys.readouterr().err.endswith("error: corrupt r must be an integer >= 2, got 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--x", "1e999999999"],
+        ["--y", "1e-999999999"],
+        ["--x", "1e4301"],
+        ["--x", "1e" + "9" * 5000],
+        ["--x", "1E+4301"],
+        ["--y=-1e-4_301"],
+        ["--x", "1e04301"],
+    ],
+)
+def test_a_large_exponent_is_refused_at_once(capsys, argv):
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sequence", "--r", "2", *argv])
+    assert time.perf_counter() - started < 1.0
+    assert excinfo.value.code == 2
+    assert "exceeds 4300 in absolute value" in capsys.readouterr().err
+
+
+def test_the_largest_exponent_is_accepted(capsys):
+    code, out = run_cli(capsys, "sequence", "--r", "2", "--x", "1e4300", "--n-max", "2")
+    assert code == 0
+    assert out.splitlines()[1] == "1" + "0" * 4300
+
+
+@pytest.mark.parametrize(
+    ("argv", "lengths"),
+    [
+        (["--x", "1E+4300"], [1, 4301, 8601]),
+        (["--x", "1e4_300"], [1, 4301, 8601]),
+        (["--x=-1e4300"], [1, 4302, 8601]),
+        (["--y", "1e-4300"], [1, 1, 8603]),
+    ],
+)
+def test_every_exponent_form_at_the_bound_is_read_in_full(capsys, argv, lengths):
+    # V(2, 1) = x and V(2, 2) = x**2 + y, printed to the last digit
+    code, out = run_cli(capsys, "sequence", "--r", "2", *argv, "--n-max", "2")
+    assert code == 0
+    assert [len(line) for line in out.splitlines()] == lengths
+
+
+def test_the_digit_cap_is_restored_when_the_handler_fails(monkeypatch, capsys):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["matrix", "--r", "1", "--n", "3"])
+    assert excinfo.value.code == 2
+    assert sys.get_int_max_str_digits() == limit
+
+    def broken(*args):
+        raise RuntimeError("fault in the computation")
+
+    monkeypatch.setattr("cayleyband.cli.run_verification", broken)
+    with pytest.raises(RuntimeError, match="^fault in the computation$"):
+        main(["verify"])
+    assert sys.get_int_max_str_digits() == limit
+    capsys.readouterr()
 
 
 def test_an_internal_fault_is_not_a_usage_error(monkeypatch, capsys):

@@ -222,7 +222,6 @@ def test_exact_div_messages_are_unchanged():
         lambda: run_verification(r_max=True),
         lambda: run_verification(n_max=True),
         lambda: run_verification(order=True),
-        lambda: run_verification(subdiagonal_step=True),
         lambda: BiPoly({(True, 0): 1}),
         lambda: BiPoly({(0, True): 1}),
         lambda: X**True,
@@ -259,7 +258,6 @@ def test_validation_messages_keep_their_wording():
 @pytest.mark.parametrize(
     ("call", "message"),
     [
-        (lambda: run_verification(subdiagonal_step=2), r"^subdiagonal_step must be 1 or -1, got 2$"),
         (
             lambda: cycle_distribution_bruteforce(2, BRUTE_FORCE_LIMIT + 1),
             rf"^brute-force enumeration is limited to n <= {BRUTE_FORCE_LIMIT}, got {BRUTE_FORCE_LIMIT + 1}$",
@@ -270,7 +268,7 @@ def test_validation_messages_keep_their_wording():
         ),
         (lambda: as_permutation([1, 1]), r"^not a permutation of 1\.\.2: \[1, 1\]$"),
     ],
-    ids=["subdiagonal_step", "enumeration_limit", "leibniz_limit", "as_permutation"],
+    ids=["enumeration_limit", "leibniz_limit", "as_permutation"],
 )
 def test_input_checks_raise_input_error(call, message):
     with pytest.raises(InputError, match=message):

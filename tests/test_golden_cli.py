@@ -7,6 +7,11 @@ with ``golden_cli.json``.  A refactor that keeps the output byte-identical
 passes; any changed byte, check name, params string, detail or exit code
 fails and names the invocation.
 
+The fault entries end in ``--corrupt R,N,I,J`` or ``--subdiagonal-step -1``,
+which the CLI no longer has.  ``run`` reads that trailing pair as a fault
+to install: it swaps ``verify.band_matrix`` for ``faults.bumped_entry(R, N,
+I, J)`` or ``faults.decreasing_subdiagonal`` and runs the rest.
+
 The digests were recorded from the commit before the verify sweep helper.
 To record them for a deliberate output change, run this file as a script
 and review the diff:
@@ -22,9 +27,12 @@ import io
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from faults import bumped_entry, decreasing_subdiagonal
 
+from cayleyband import verify
 from cayleyband.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_cli.json")
@@ -61,9 +69,16 @@ def corpus() -> list[str]:
 
 def run(invocation: str) -> tuple[int, str]:
     """Exit code and sha256 of the timing-free stdout of one invocation."""
+    *argv, flag, value = invocation.split()
+    if flag == "--corrupt":
+        build = bumped_entry(*map(int, value.split(",")))
+    elif flag == "--subdiagonal-step":
+        build = decreasing_subdiagonal
+    else:
+        argv, build = invocation.split(), verify.band_matrix
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main(invocation.split())
+    with mock.patch.object(verify, "band_matrix", build), contextlib.redirect_stdout(stdout):
+        code = main(argv)
     text = re.sub(r'"elapsed_ms":\d+,', "", stdout.getvalue())
     text = re.sub(r", \d+\.\d ms\)$", ")", text, flags=re.MULTILINE)
     return code, hashlib.sha256(text.encode()).hexdigest()

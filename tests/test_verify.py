@@ -1,14 +1,15 @@
-"""The cross-check engine and its fault-injection hooks."""
+"""The cross-check engine, and the faults it must catch."""
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
+from faults import bumped_entry, decreasing_subdiagonal
 
 from cayleyband import continuants, egf, verify
-from cayleyband._validate import InputError
-from cayleyband.algebra import BiPoly, TruncSeries, X
+from cayleyband.algebra import ONE, BiPoly, TruncSeries, X
 from cayleyband.verify import CheckResult, VerifyReport, run_verification, render_report_text
 
 CHECK_NAMES = [
@@ -31,8 +32,25 @@ def test_clean_run_passes():
     assert report.elapsed_ms > 0
 
 
-def test_corrupt_entry_fails_four_way():
-    report = run_verification(r_max=3, n_max=5, order=8, corrupt=(2, 4, 1, 1))
+def test_run_verification_takes_only_the_sweep():
+    # faults are injected by swapping verify.band_matrix, not by arguments
+    assert list(inspect.signature(run_verification).parameters) == ["r_max", "n_max", "order"]
+
+
+def test_a_bumped_entry_changes_one_entry_of_one_matrix():
+    build = bumped_entry(2, 4, 1, 2)
+    clean, faulty = verify.band_matrix(2, 4).entries, build(2, 4).entries
+    changed = [(i, j) for i in range(4) for j in range(4) if faulty[i][j] != clean[i][j]]
+    assert changed == [(0, 1)]
+    assert faulty[0][1] - clean[0][1] == ONE
+    assert build(2, 3).entries == verify.band_matrix(2, 3).entries
+    assert build(3, 4).entries == verify.band_matrix(3, 4).entries
+    assert bumped_entry(2, 3, 9, 9)(2, 3).entries == verify.band_matrix(2, 3).entries
+
+
+def test_corrupt_entry_fails_four_way(monkeypatch):
+    monkeypatch.setattr(verify, "band_matrix", bumped_entry(2, 4, 1, 1))
+    report = run_verification(r_max=3, n_max=5, order=8)
     assert not report.ok
     failures = [check for check in report.checks if not check.ok]
     assert [check.name for check in failures] == ["four_way"]
@@ -40,49 +58,43 @@ def test_corrupt_entry_fails_four_way():
     assert "recurrence" in failures[0].detail
 
 
-def test_corrupt_base_case_fails_early_family():
-    report = run_verification(r_max=4, n_max=5, order=8, corrupt=(4, 2, 1, 1))
+def test_corrupt_base_case_fails_early_family(monkeypatch):
+    monkeypatch.setattr(verify, "band_matrix", bumped_entry(4, 2, 1, 1))
+    report = run_verification(r_max=4, n_max=5, order=8)
     failures = [check for check in report.checks if not check.ok]
     assert failures
     assert failures[0].name == "base_cases"
     assert failures[0].params == "r=4 n=2"
 
 
-def test_corrupt_outside_sweep_is_inert():
-    report = run_verification(r_max=3, n_max=4, order=8, corrupt=(2, 3, 9, 9))
+def test_corrupt_outside_sweep_is_inert(monkeypatch):
+    monkeypatch.setattr(verify, "band_matrix", bumped_entry(2, 3, 9, 9))
+    report = run_verification(r_max=3, n_max=4, order=8)
     assert report.ok
 
 
 def test_canonical_matrices_come_from_the_public_builder(monkeypatch):
-    # four_way and base_cases read verify.band_matrix; the decreasing
-    # variant must not.
+    # base_cases and four_way build every matrix through verify.band_matrix,
+    # once per check and point, so a fault there is the one they report.
     build = verify.band_matrix
     built = []
 
-    def bumped(r, n):
+    def recording(r, n):
         built.append((r, n))
-        matrix = build(r, n)
-        return verify._corrupted(matrix, 1, 1) if (r, n) == (2, 4) else matrix
+        return build(r, n)
 
-    monkeypatch.setattr(verify, "band_matrix", bumped)
-    run_verification(r_max=3, n_max=5, order=8, subdiagonal_step=-1)
-    assert built == []
+    monkeypatch.setattr(verify, "band_matrix", recording)
+    assert run_verification(r_max=3, n_max=5, order=8).ok
+    base_points = [(r, n) for r in (2, 3) for n in range(r)]
+    assert built == base_points + [(r, n) for r in (2, 3) for n in range(6)]
+    monkeypatch.setattr(verify, "band_matrix", bumped_entry(2, 4, 1, 1))
     report = run_verification(r_max=3, n_max=5, order=8)
     assert [(check.name, check.params) for check in report.checks if not check.ok] == [("four_way", "r=2 n=4")]
 
 
-@pytest.mark.parametrize(
-    "corrupt",
-    [[2, 4, 1, 1], (2, 4, 1), (2, 4, True, 1), (2, 4, 1.0, 1), (1, 4, 1, 1), (2, -1, 1, 1), (2, 4, 0, 1), (2, 4, 1, 0)],
-    ids=["list", "three-values", "bool", "float", "r<2", "n<0", "i<1", "j<1"],
-)
-def test_corrupt_is_validated(corrupt):
-    with pytest.raises(InputError):
-        run_verification(r_max=3, n_max=4, order=4, corrupt=corrupt)
-
-
-def test_decreasing_convention_fails_four_way():
-    report = run_verification(r_max=3, n_max=5, order=8, subdiagonal_step=-1)
+def test_decreasing_convention_fails_four_way(monkeypatch):
+    monkeypatch.setattr(verify, "band_matrix", decreasing_subdiagonal)
+    report = run_verification(r_max=3, n_max=5, order=8)
     failures = [check for check in report.checks if not check.ok]
     assert [check.name for check in failures] == ["four_way"]
     assert failures[0].params == "r=2 n=3"
@@ -301,7 +313,7 @@ def test_report_dict_shape():
         assert entry["status"] == "pass"
 
 
-def test_text_rendering():
+def test_text_rendering(monkeypatch):
     report = run_verification(r_max=2, n_max=3, order=5)
     text = render_report_text(report)
     lines = text.splitlines()
@@ -310,7 +322,8 @@ def test_text_rendering():
         assert name in text
     assert lines[-1].startswith("verification PASS")
 
-    bad = run_verification(r_max=2, n_max=4, order=5, corrupt=(2, 4, 2, 2))
+    monkeypatch.setattr(verify, "band_matrix", bumped_entry(2, 4, 2, 2))
+    bad = run_verification(r_max=2, n_max=4, order=5)
     bad_text = render_report_text(bad)
     assert "fail" in bad_text
     assert bad_text.splitlines()[-1].startswith("verification FAIL")
@@ -329,8 +342,6 @@ def test_parameter_validation():
         run_verification(n_max=-1)
     with pytest.raises(ValueError):
         run_verification(order=0)
-    with pytest.raises(ValueError):
-        run_verification(subdiagonal_step=2)
 
 
 def test_check_result_ok_property():
