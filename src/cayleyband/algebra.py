@@ -11,6 +11,16 @@ exact division whose quotient has a non-integral coefficient.  ``int`` and
 ``denominator``, so every coefficient can be read as a rational.  Nothing is
 ever rounded.
 
+The product kernel skips arithmetic that cannot change a value.  A unit
+factor in a product adds the other factor's coefficients unmultiplied
+(``_accumulate``), a scalar scales each coefficient in one pass instead of
+forming the product with a constant polynomial (``BiPoly.__mul__``), and the
+exponential divides by k with one Fraction per coefficient
+(``TruncSeries.exp``).  Each short cut yields the same exact rational as the
+general path, and the int-or-Fraction rule above is restored before any
+result is returned; they only spare building Fraction objects, which is most
+of the EGF's cost.
+
 Polynomials in the two variables x and y are stored sparsely as a mapping
 from exponent pairs to nonzero coefficients, and formal power series in t
 carry an explicit truncation order with one polynomial per coefficient.
@@ -87,13 +97,18 @@ def _accumulate(
 
     Sums that cancel are removed.  An integral Fraction may be left behind;
     the caller demotes once it has finished accumulating (``BiPoly._raw``).
+    A term of a whose coefficient is 1 adds b's coefficients as they are:
+    1 * c equals c exactly, and for a Fraction c the product would only
+    build a new object of the same value.  Every weighted term of the
+    exponential has this unit coefficient.
     """
     get = out.get
     pop = out.pop
     for (ax, ay), ac in a.items():
+        unit = ac == 1
         for (bx, by), bc in b.items():
             key = (ax + bx, ay + by)
-            value = get(key, 0) + ac * bc
+            value = get(key, 0) + (bc if unit else ac * bc)
             if value:
                 out[key] = value
             else:
@@ -206,6 +221,19 @@ class BiPoly:
         return (-self).__add__(other)
 
     def __mul__(self, other: BiPoly | CoeffLike) -> BiPoly:
+        """Product with a polynomial, an int or a Fraction.
+
+        An int or Fraction scalar scales each coefficient in one pass, with
+        one demotion at the end.  That is the same exact value as the
+        product with the constant polynomial, without building one; an int
+        scalar on an all-int polynomial stays on ints.
+        """
+        if isinstance(other, (int, Fraction)):
+            other = _coerce_coefficient(other)
+            if not other or not self._terms:
+                return ZERO
+            terms = {e: c * other for e, c in self._terms.items()}
+            return BiPoly._raw(terms, self._rational or type(other) is not int)
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
@@ -457,6 +485,11 @@ class TruncSeries:
 
         Coefficient k of E = exp(A) comes from E' = A'E:
         k*e_k = sum_{j=1..k} j*a_j*e_{k-j}.
+
+        Each accumulated coefficient c is divided by k as the one reduced
+        Fraction(c.numerator, c.denominator * k), which ``BiPoly._raw``
+        demotes to an int when it is integral: the same exact quotient as
+        ``_divide``, which builds two Fractions for it.
         """
         if not self._coeffs[0].is_zero:
             raise ValueError("series exponential requires a zero constant term")
@@ -467,7 +500,8 @@ class TruncSeries:
             for j in range(1, k + 1):
                 if weighted[j]:
                     _accumulate(acc, weighted[j], out[k - j]._terms)
-            out.append(BiPoly._raw({e: _divide(c, k) for e, c in acc.items()}, True))
+            quotient = {e: Fraction(c.numerator, c.denominator * k) for e, c in acc.items()}
+            out.append(BiPoly._raw(quotient, True))
         return TruncSeries(out)
 
     def __repr__(self) -> str:

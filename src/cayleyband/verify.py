@@ -7,7 +7,11 @@ result: the first failure, or a pass whose params name those same ranges.
 The families are deliberately redundant.  The recurrence, the two
 determinant algorithms, the permutation enumeration, and the generating
 function share no code beyond the polynomial arithmetic, so agreement
-across all of them is strong evidence that each one is right.
+across all of them is strong evidence that each one is right.  The
+enumeration does not share even that much: it builds its polynomial from
+permutation counts, with no polynomial product, so a fault in the shared
+product kernel (``algebra._accumulate``) still shows as a disagreement with
+the enumeration instead of passing unseen.
 
 ``run_verification`` scans each (r, n) up to the enumeration limit once and
 shares the scans across checks, as it shares the recurrence tables;

@@ -1,5 +1,6 @@
-"""Two oracles for the recurrence past the enumeration limit, each computed
-here in plain ints and Fractions, with no recurrence, matrix or BiPoly.
+"""Oracles for the recurrence, each computed here in plain ints and
+Fractions, with no recurrence, matrix or BiPoly.  The first two reach past
+the enumeration limit; the third splits S_n itself.
 
 * The closed form.  The EGF factors as (1-t)^(-x) (1-t^r)^((x-y)/r), so
 
@@ -14,6 +15,11 @@ here in plain ints and Fractions, with no recurrence, matrix or BiPoly.
   (Stanley, Enumerative Combinatorics I, Prop. 1.3.2).  It is checked term by
   term for n <= 24, far past the n! scan, and class by class against the
   cycle walk for n <= 8.
+* The recurrence term by term.  Grouping S_n by the length L of the cycle
+  through n splits V(r, n) into the recurrence's own terms: L = i < r gives
+  x (n-1)_{i-1} V(n-i), L = r gives y (n-1)_{r-1} V(n-r), and L > r gives
+  (n-r) (n-1)_{r-1} V(n-r).  It is checked for r = 2..6 and n <= 7 with a
+  cycle walk of its own.
 
 The class sum also proves the paper's theorem for n <= 14: a plain-int
 Bareiss elimination of the band matrix, read entry by entry, equals it on a
@@ -42,6 +48,7 @@ SEQUENCES = [(r, 80) for r in range(2, 8)] + [(41, 40)]
 N_MAX_RATIONAL = 40
 N_MAX_CLASS_SUM = 24
 N_MAX_WALK = 8
+N_MAX_TERMS = 7
 N_MAX_GRID = 14
 
 
@@ -127,6 +134,55 @@ def test_the_walk_meets_each_cycle_type_n_over_z_times():
     for n in range(N_MAX_WALK + 1):
         tally = Counter(tuple(sorted(_cycle_lengths(perm))) for perm in itertools.permutations(range(n)))
         assert tally == {tuple(sorted(parts)): class_size(parts) for parts in partitions(n, n)}, n
+
+
+def cycles_through_last(perm: tuple[int, ...]) -> list[int]:
+    """The cycle lengths of perm, a tuple of the images of 0..n-1, with the
+    length of the cycle through n-1 first."""
+    seen = [False] * len(perm)
+    lengths = []
+    for start in reversed(range(len(perm))):
+        length, point = 0, start
+        while not seen[point]:
+            seen[point] = True
+            point = perm[point]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def shifted(poly, factor: int, dx: int, dy: int) -> dict:
+    """factor * x^dx * y^dy * poly as a term dict with no zero terms."""
+    return {(i + dx, j + dy): factor * c for (i, j), c in poly.sorted_terms() if factor}
+
+
+def test_the_recurrence_term_by_term():
+    # The walk groups each permutation by the length L of the cycle through
+    # n, and weighs it x^(#r-regular cycles) y^(#r-singular cycles).
+    r_values = range(2, 7)
+    tables = {r: band_continuants(r, N_MAX_TERMS) for r in r_values}
+    for n in range(1, N_MAX_TERMS + 1):
+        groups = {r: {} for r in r_values}
+        for perm in itertools.permutations(range(n)):
+            lengths = cycles_through_last(perm)
+            for r, group in groups.items():
+                singular = sum(length % r == 0 for length in lengths)
+                label = lengths[0] if lengths[0] <= r else "more"
+                tally = group.setdefault(label, Counter())
+                tally[len(lengths) - singular, singular] += 1
+        for r, group in groups.items():
+            table = tables[r]
+            expected = {
+                i: shifted(table[n - i], math.perm(n - 1, i - 1), 1, 0) for i in range(1, min(r - 1, n) + 1)
+            }
+            if n >= r:
+                f = math.perm(n - 1, r - 1)
+                expected[r] = shifted(table[n - r], f, 0, 1)
+                expected["more"] = shifted(table[n - r], (n - r) * f, 0, 0)
+            assert {label: dict(tally) for label, tally in group.items()} == {
+                label: terms for label, terms in expected.items() if terms
+            }, (r, n)
 
 
 def plain_value(terms, x0: int, y0: int) -> int:

@@ -8,7 +8,7 @@ import math
 import pytest
 from faults import bumped_entry, decreasing_subdiagonal
 
-from cayleyband import continuants, egf, verify
+from cayleyband import algebra, continuants, egf, verify
 from cayleyband.algebra import ONE, BiPoly, TruncSeries, X
 from cayleyband.verify import CheckResult, VerifyReport, run_verification, render_report_text
 
@@ -166,6 +166,28 @@ def _off_by_one_division(monkeypatch):
     monkeypatch.setattr(BiPoly, "exact_div", off_by_one)
 
 
+def _unit_product_gains_one(monkeypatch):
+    # Every route but the enumeration multiplies through this kernel (BiPoly
+    # methods and poly_sum look it up at call time); the enumeration builds
+    # its polynomial from counts, so only it stays right.
+    accumulate = algebra._accumulate
+
+    def faulty(out, a, b):
+        accumulate(out, a, b)
+        unit = next((exponents for exponents, c in a.items() if c == 1), None)
+        if unit is not None and b:
+            bx, by = next(iter(b))
+            key = (unit[0] + bx, unit[1] + by)
+            value = out.get(key, 0) + 1
+            if value:
+                out[key] = value
+            else:
+                del out[key]
+        return out
+
+    monkeypatch.setattr(algebra, "_accumulate", faulty)
+
+
 @pytest.mark.parametrize(
     "mutate, failing",
     [
@@ -181,8 +203,9 @@ def _off_by_one_division(monkeypatch):
         ),
         (_flip_t_to_the_r, ["four_way", "ode_residual", "regular_singular_factorization"]),
         (_off_by_one_division, ["four_way"]),
+        (_unit_product_gains_one, CHECK_NAMES),
     ],
-    ids=["recurrence", "egf", "bareiss"],
+    ids=["recurrence", "egf", "bareiss", "product_kernel"],
 )
 def test_a_faulty_route_fails_the_checks_that_read_it(monkeypatch, mutate, failing):
     mutate(monkeypatch)
